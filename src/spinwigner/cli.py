@@ -316,16 +316,15 @@ def _fmt(v: float) -> str:
 
 
 def _write_table(path: str, header: list[str], columns: list[str],
-                 rows: list[tuple[float, ...]]) -> None:
-    for row in rows:
-        for v in row:
-            if not math.isfinite(v):
-                raise NumericError("refusing to write a non-finite value")
+                 data: list[np.ndarray]) -> None:
+    """Write one row per index of the equal-length value arrays in ``data``."""
+    if not np.isfinite(data).all():
+        raise NumericError("refusing to write a non-finite value")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
+        for row in zip(*data):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -358,8 +357,7 @@ def cmd_eval_volume(spec: StateSpec, grid: GridSpec, out_path: str,
     norm = _maybe_normalization(density, notes)
     header = [f"spinwigner {__version__}", f"state: {spec.describe()}",
               f"grid: {grid.describe()}"]
-    rows = [(x1[i], x2[i], x3[i], vals[i]) for i in range(x1.size)]
-    _write_table(out_path, header, ["x1", "x2", "x3", "value"], rows)
+    _write_table(out_path, header, ["x1", "x2", "x3", "value"], [x1, x2, x3, vals])
     elapsed = (time.perf_counter() - started) * 1000.0
     return EvalReport(density.represented_trace, density.commutes_with_s2,
                       norm, elapsed, notes=tuple(notes))
@@ -411,13 +409,11 @@ def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
               f"grid: {grid.describe()}", f"method: {method}"]
     if method == "both" and analytic is not None:
         columns = ["theta", "phi", "value", "value_numeric", "abs_diff"]
-        rows = [(theta[i], phi[i], analytic[i], numeric[i], abs(analytic[i] - numeric[i]))
-                for i in range(theta.size)]
+        data = [theta, phi, analytic, numeric, np.abs(analytic - numeric)]
     else:
-        vals = analytic if analytic is not None else numeric
         columns = ["theta", "phi", "value"]
-        rows = [(theta[i], phi[i], vals[i]) for i in range(theta.size)]
-    _write_table(out_path, header, columns, rows)
+        data = [theta, phi, analytic if analytic is not None else numeric]
+    _write_table(out_path, header, columns, data)
 
     norm = _maybe_normalization(density, notes)
     elapsed = (time.perf_counter() - started) * 1000.0
@@ -447,9 +443,8 @@ def cmd_eval_plane4d(spec: StateSpec, grid: GridSpec, out_path: str,
     header = [f"spinwigner {__version__}", f"state: {spec.describe()}",
               f"grid: {grid.describe()}"]
     a_name, b_name = grid.axes[0].name, grid.axes[1].name
-    rows = [(ga.ravel()[i], gb.ravel()[i], vals[i].real, vals[i].imag)
-            for i in range(ga.size)]
-    _write_table(out_path, header, [a_name, b_name, "value_re", "value_im"], rows)
+    _write_table(out_path, header, [a_name, b_name, "value_re", "value_im"],
+                 [ga.ravel(), gb.ravel(), vals.real, vals.imag])
     elapsed = (time.perf_counter() - started) * 1000.0
     return EvalReport(density.represented_trace, density.commutes_with_s2,
                       norm, elapsed, notes=tuple(notes))

@@ -139,10 +139,6 @@ class OscillatorDensity:
     def commutes_with_s2(self) -> bool:
         return self.s2_residual <= S2_COMMUTE_TOL
 
-    @property
-    def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.elements - self.elements.conj().T)) <= 1e-12)
-
     @classmethod
     def from_fock_elements(cls, n: int, elements: np.ndarray) -> "OscillatorDensity":
         """Wrap a raw Fock-basis matrix, deriving the compatibility residual.

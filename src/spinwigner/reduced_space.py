@@ -115,16 +115,6 @@ def reduced_wigner(density: OscillatorDensity, pt3: PhasePoint3) -> float:
     return float(reduced_wigner_many(density, pt3.x1, pt3.x2, pt3.x3))
 
 
-def section_wigner_many(density: OscillatorDensity, x1, x2, x3) -> np.ndarray:
-    """Wigner values along the canonical section, without the reducibility check.
-
-    For operators that fail the commutation test the result depends on the
-    section convention and may carry an imaginary part; the complex value
-    is returned unjudged. Exposed for diagnostic slices only.
-    """
-    return wigner_complex_many(density, *hopf_section_arrays(x1, x2, x3))
-
-
 def check_fiber_invariance(density: OscillatorDensity, samples: int, *,
                            seed: int = 0, radius: float = 1.5) -> float:
     """Largest relative change of W under random fiber rotations.

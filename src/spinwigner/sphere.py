@@ -178,6 +178,13 @@ def radial_integral_I(i: int, j: int, alpha: int, c: float) -> float:
     return float(sign * pref * series * bracket)
 
 
+# The radial factor depends on theta alone, and grids sweep phi at fixed
+# theta: each distinct (i, j, alpha, cos theta) is summed in exact
+# arithmetic once. A theta row has at most (n+1)(n+2)(n+3)/6 distinct
+# keys (455 at n = 12), so the bound holds several rows.
+_radial_memo = lru_cache(maxsize=4096)(radial_integral_I)
+
+
 @dataclass(frozen=True)
 class LmDensity:
     """Operator coefficients against the labelled eigenbasis.
@@ -259,13 +266,13 @@ def ws_analytic(lm_density: LmDensity, pt: SphPoint) -> float:
             ratio = math.exp(0.5 * (math.lgamma(lpm + 1) + math.lgamma(lmmp + 1)
                                     - math.lgamma(lpmp + 1) - math.lgamma(lmm + 1)))
             phase = _phase_power(sin_t, pt.phi, -1, dm)
-            radial = radial_integral_I(lmmp, lpm, dm, cos_t)
+            radial = _radial_memo(lmmp, lpm, dm, cos_t)
         else:
             dm = (two_m - two_mp) // 2
             ratio = math.exp(0.5 * (math.lgamma(lpmp + 1) + math.lgamma(lmm + 1)
                                     - math.lgamma(lpm + 1) - math.lgamma(lmmp + 1)))
             phase = _phase_power(sin_t, pt.phi, +1, dm)
-            radial = radial_integral_I(lmm, lpmp, dm, cos_t)
+            radial = _radial_memo(lmm, lpmp, dm, cos_t)
         total += v * sign / (4.0 * math.pi) * ratio * phase * radial
     if abs(total.imag) > _IMAG_TOL:
         raise NumericError(
@@ -276,14 +283,20 @@ def ws_analytic(lm_density: LmDensity, pt: SphPoint) -> float:
 
 
 def sphere_normalization(density: OscillatorDensity,
-                         resolution: tuple[int, int] = (64, 128),
+                         resolution: tuple[int, int] | None = None,
                          nodes: int | None = None) -> float:
     """Integral of the spherical function over the sphere.
 
-    Gauss-Legendre in cos(theta) crossed with a uniform azimuthal rule,
-    both exact for the trigonometric-polynomial integrands arising here.
+    Along each ray the reduced function is exp(-r) times a polynomial of
+    degree at most n in r, so its radial integral with weight r dr is a
+    polynomial of degree at most n in the direction cosines. Gauss-Legendre
+    with n//2 + 1 nodes in cos(theta), crossed with n + 1 uniform azimuths
+    (at least 2 of each), integrates such a polynomial exactly; that rule
+    is the default. An explicit ``resolution`` (n_theta, n_phi) replaces it.
     Equals 1 for normalized pure states inside the represented subspace.
     """
+    if resolution is None:
+        resolution = (max(2, density.n // 2 + 1), max(2, density.n + 1))
     n_theta, n_phi = resolution
     if n_theta < 2 or n_phi < 2:
         raise ValidationError("resolution must be at least 2 nodes per angle")

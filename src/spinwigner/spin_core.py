@@ -86,9 +86,6 @@ class SpinOperator:
             raise ValidationError(f"operator shape {mat.shape}, expected ({dim}, {dim})")
         object.__setattr__(self, "matrix", _readonly(mat))
 
-    def apply(self, state: SpinState) -> np.ndarray:
-        return self.matrix @ state.amplitudes
-
 
 @dataclass(frozen=True)
 class BasisEntry:

@@ -300,3 +300,21 @@ def test_oversize_grid_exit_code(tmp_path, capsys):
                  "x1:0:1:200,x2:0:1:200,x3:0:1:200",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def test_non_finite_value_refused_without_output(tmp_path, monkeypatch, capsys):
+    import spinwigner.cli as cli
+
+    def nan_values(density, x1, x2, x3):
+        vals = np.zeros(np.shape(x1))
+        vals[0] = math.nan
+        return vals
+
+    monkeypatch.setattr(cli, "reduced_wigner_many", nan_values)
+    state = _state_file(tmp_path, UP_ONE_SPIN)
+    out = tmp_path / "nan.csv"
+    code = main(["volume", "--state", state, "--grid",
+                 "x1:-1:1:3,x2:-1:1:3,x3:-1:1:3", "--out", str(out)])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, hyp2f1
 
 import spinwigner as sw
+import spinwigner.sphere as sphere_mod
 from spinwigner.omega_map import fock_index
 from spinwigner.sphere import LmDensity
 
@@ -241,6 +242,69 @@ def test_sphere_normalization_random_represented_states(n):
         + 0.6 * np.outer(shell_states[1], shell_states[1].conj())
     d = sw.push_density(om, blend)
     assert sw.sphere_normalization(d, resolution=(32, 64)) == pytest.approx(1.0, abs=1e-8)
+
+
+def _family_densities(n):
+    om = omega(n)
+    coherent = sw.spin_coherent(n, 1.1, 0.4)
+    pure = [coherent, sw.cat_state(n), sw.fock_state(n, n // 2),
+            sw.squeezed_state(n, 0.2 + 0.1j, coherent)]
+    densities = [sw.push_density(om, s.density) for s in pure]
+    blend = sw.mixture([(0.3, coherent), (0.7, sw.cat_state(n))])
+    return densities + [sw.push_density(om, blend)]
+
+
+def _random_block_diagonal(n, rng):
+    # random positive block per total excitation: commutes with total spin
+    # squared and fills every shell, unit trace
+    size = len(sw.fock_states(n))
+    e = np.zeros((size, size), dtype=complex)
+    start = 0
+    for total in range(n + 1):
+        a = rng.normal(size=(total + 1, total + 1)) + 1j * rng.normal(size=(total + 1, total + 1))
+        e[start:start + total + 1, start:start + total + 1] = a @ a.conj().T
+        start += total + 1
+    return sw.OscillatorDensity.from_fock_elements(n, e / np.trace(e).real)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_derived_normalization_rule_matches_dense_rule(n):
+    for d in _family_densities(n):
+        assert sw.sphere_normalization(d) == pytest.approx(
+            sw.sphere_normalization(d, resolution=(64, 128)), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 11, 12])
+def test_derived_normalization_rule_random_block_diagonal(n):
+    d = _random_block_diagonal(n, np.random.default_rng(70 + n))
+    derived = sw.sphere_normalization(d)
+    assert derived == pytest.approx(sw.sphere_normalization(d, resolution=(64, 128)), abs=1e-12)
+    assert derived == pytest.approx(1.0, abs=1e-8)
+
+
+def test_derived_normalization_rule_is_tight():
+    # one azimuth fewer than the derived n + 1 aliases the cos(n phi)
+    # fringe of the cat state onto the constant term
+    n = 4
+    d = push_pure(n, sw.cat_state(n).amplitudes)
+    dense = sw.sphere_normalization(d, resolution=(64, 128))
+    assert abs(sw.sphere_normalization(d, resolution=(n // 2 + 1, n)) - dense) > 1e-3
+
+
+@pytest.mark.parametrize("n, state", [
+    (5, lambda n: sw.spin_coherent(n, 1.1, 0.4)),
+    (6, lambda n: sw.squeezed_state(n, 0.2 + 0.1j, sw.spin_coherent(n, 0.8, 2.0))),
+], ids=["coherent-5", "squeezed-6"])
+def test_ws_analytic_radial_reuse_is_exact(n, state, monkeypatch):
+    lm = LmDensity.from_density(push_pure(n, state(n).amplitudes))
+    thetas = np.linspace(0.0, math.pi, 16)
+    points = [sw.SphPoint(t, p) for t in thetas for p in np.linspace(0.0, 2.0 * math.pi, 31)]
+    sphere_mod._radial_memo.cache_clear()
+    reused = [sw.ws_analytic(lm, pt) for pt in points]
+    # summed once per theta, not once per (theta, phi)
+    assert sphere_mod._radial_memo.cache_info().misses <= thetas.size * len(lm.same_shell)
+    monkeypatch.setattr(sphere_mod, "_radial_memo", sw.radial_integral_I)
+    assert reused == [sw.ws_analytic(lm, pt) for pt in points]
 
 
 def test_rotation_about_z_shifts_azimuth():
