@@ -9,12 +9,13 @@ radially onto the sphere (``sphere``). ``states`` builds the standard
 state families and ``cli`` exposes grid evaluation as a command line tool.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (
     AngularBasis,
     BasisEntry,
+    SpinMixture,
     SpinOperator,
     SpinState,
     build_collective_spin,
@@ -83,6 +84,7 @@ __all__ = [
     "PhasePoint3",
     "PhasePoint4",
     "SphPoint",
+    "SpinMixture",
     "SpinOperator",
     "SpinState",
     "SpinWignerError",

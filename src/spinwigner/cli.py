@@ -296,7 +296,7 @@ def _push_spec(spec: StateSpec) -> tuple[OscillatorDensity, float]:
     omega = construct_omega(decompose_angular_basis(spec.n))
     if spec.kind == "operator":
         return push_operator(omega, op), float(np.trace(op).real)
-    return push_density(omega, op), float(np.trace(op).real)
+    return push_density(omega, op), op.trace
 
 
 def _chunked(fn, total: int, threads: int) -> np.ndarray:

@@ -95,7 +95,7 @@ def wigner_complex_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarra
         np.asarray(q1, float), np.asarray(p1, float),
         np.asarray(q2, float), np.asarray(p2, float),
     )
-    states = fock_states(density.fock_cutoff)
+    states = fock_states(density.n)
     elems = density.elements
     cache1: dict[tuple[int, int], np.ndarray] = {}
     cache2: dict[tuple[int, int], np.ndarray] = {}
@@ -166,7 +166,7 @@ def _oracle_eval(density: OscillatorDensity, pt: PhasePoint4, half_width: float,
     The integrand factorizes mode by mode, so the tensor-grid double
     integral is accumulated as products of one-dimensional sums.
     """
-    cutoff = density.fock_cutoff
+    cutoff = density.n
     states = fock_states(cutoff)
     y = np.linspace(-half_width, half_width, points)
     w = np.full(points, y[1] - y[0])
@@ -200,7 +200,7 @@ def oracle_wigner_integral(density: OscillatorDensity, pt: PhasePoint4, *,
     position space on [-L, L]^2, doubling the trapezoid resolution until
     two successive refinements agree. Intended for small Fock supports.
     """
-    cutoff = density.fock_cutoff
+    cutoff = density.n
     if cutoff > 12:
         raise ValidationError(
             f"oracle supports Fock cutoff <= 12, got {cutoff}"

@@ -17,12 +17,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .spin_core import AngularBasis, _collective, _readonly, _total_squared
+from .spin_core import (AngularBasis, SpinMixture, _apply_ladder, _apply_s2, _readonly,
+                        _s3_diagonal)
 
 _HERM_TOL = 1e-10
 _PSD_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _INTERTWINE_TOL = 1e-9
+#: Entries of one row block of the commutator residual (4 MB complex).
+_RESIDUAL_BLOCK = 1 << 18
 #: Spin-space commutator threshold below which an operator counts as
 #: compatible with the three-variable reduction.
 S2_COMMUTE_TOL = 1e-9
@@ -90,12 +93,11 @@ class OmegaMap:
     """
 
     n: int
-    fock_cutoff: int
     coefficients: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=complex)
-        expect = (len(fock_states(self.fock_cutoff)), 2**self.n)
+        expect = (len(fock_states(self.n)), 2**self.n)
         if c.shape != expect:
             raise ValidationError(f"coefficient shape {c.shape}, expected {expect}")
         object.__setattr__(self, "coefficients", _readonly(c))
@@ -130,10 +132,6 @@ class OscillatorDensity:
         if e.shape != (size, size):
             raise ValidationError(f"element matrix shape {e.shape}, expected ({size}, {size})")
         object.__setattr__(self, "elements", _readonly(e))
-
-    @property
-    def fock_cutoff(self) -> int:
-        return self.n
 
     @property
     def commutes_with_s2(self) -> bool:
@@ -194,7 +192,7 @@ def construct_omega(basis: AngularBasis,
         f = index[((entry.two_l + entry.two_m) // 2, (entry.two_l - entry.two_m) // 2)]
         coeff[f, :] += weight * entry.state.amplitudes.conj()
 
-    omega = OmegaMap(n, n, coeff)
+    omega = OmegaMap(n, coeff)
     residual = intertwining_residual(omega)
     if residual > _INTERTWINE_TOL:
         raise NumericError(
@@ -205,21 +203,37 @@ def construct_omega(basis: AngularBasis,
 
 
 def intertwining_residual(omega: OmegaMap) -> float:
-    """Max entrywise deviation between mapped spin action and ladder action."""
+    """Max entrywise deviation between mapped spin action and ladder action.
+
+    The spin side acts on the rows of the map: ``c @ S_+`` is S_- applied
+    to the columns of ``c.T`` (and vice versa), and ``c @ S_3`` scales
+    column j by its S_3 eigenvalue.
+    """
     c = omega.coefficients
-    res = 0.0
-    for axis in (1, 2, 3):
-        lhs = c @ _collective(omega.n, axis)
-        rhs = jordan_schwinger(omega.fock_cutoff, axis) @ c
-        res = max(res, float(np.max(np.abs(lhs - rhs))))
-    return res
+    c_plus = _apply_ladder(c.T, False).T
+    c_minus = _apply_ladder(c.T, True).T
+    mapped = {1: (c_plus + c_minus) / 2.0, 2: (c_plus - c_minus) / 2.0j,
+              3: c * _s3_diagonal(omega.n)}
+    return max(float(np.max(np.abs(mapped[axis] - jordan_schwinger(omega.n, axis) @ c)))
+               for axis in (1, 2, 3))
 
 
-def _push(omega: OmegaMap, op: np.ndarray) -> OscillatorDensity:
-    s2 = _total_squared(omega.n)
-    residual = float(np.max(np.abs(op @ s2 - s2 @ op)))
-    elements = omega.coefficients @ op @ omega.coefficients.conj().T
+def _commutator_residual(p: np.ndarray, q: np.ndarray) -> float:
+    """Max entry of P Q^H - Q P^H, formed a block of rows at a time."""
+    rows = max(1, _RESIDUAL_BLOCK // p.shape[0])
+    return max(float(np.max(np.abs(p[i:i + rows] @ q.conj().T - q[i:i + rows] @ p.conj().T)))
+               for i in range(0, p.shape[0], rows))
+
+
+def _pushed(omega: OmegaMap, elements: np.ndarray, residual: float) -> OscillatorDensity:
     return OscillatorDensity(omega.n, elements, float(np.trace(elements).real), residual)
+
+
+def _push_dense(omega: OmegaMap, op: np.ndarray) -> OscillatorDensity:
+    # op S^2 - S^2 op, with op S^2 = (S^2 op^T)^T since S^2 is real symmetric
+    residual = float(np.max(np.abs(_apply_s2(op.T).T - _apply_s2(op))))
+    c = omega.coefficients
+    return _pushed(omega, c @ op @ c.conj().T, residual)
 
 
 def push_operator(omega: OmegaMap, op: np.ndarray) -> OscillatorDensity:
@@ -228,16 +242,32 @@ def push_operator(omega: OmegaMap, op: np.ndarray) -> OscillatorDensity:
     dim = 2**omega.n
     if op.shape != (dim, dim):
         raise ValidationError(f"operator shape {op.shape}, expected ({dim}, {dim})")
-    return _push(omega, op)
+    return _push_dense(omega, op)
 
 
-def push_density(omega: OmegaMap, rho: np.ndarray) -> OscillatorDensity:
+def push_density(omega: OmegaMap, rho: np.ndarray | SpinMixture) -> OscillatorDensity:
     """Push a density operator, validating hermiticity, positivity and trace.
+
+    A ``SpinMixture`` (weights w_i, states psi_i) is pushed without forming
+    the 2^n x 2^n matrix: the result is sum_i w_i (omega psi_i)(omega psi_i)^H.
+    It is Hermitian and positive by construction, so only its trace is
+    checked. The residual of [rho, S^2] is the largest entry of
+    P Q^H - Q P^H with P = psi w and Q = S^2 psi.
 
     The represented trace of the result may be below 1: weight carried by
     discarded degeneracy towers is lost, and callers should inspect
     ``represented_trace`` to detect that.
     """
+    if isinstance(rho, SpinMixture):
+        if rho.n != omega.n:
+            raise ValidationError(f"mixture acts on {rho.n} spins, the map on {omega.n}")
+        tr = rho.trace
+        if abs(tr - 1.0) > _TRACE_TOL:
+            raise ValidationError(f"density trace {tr!r} is not 1 within {_TRACE_TOL}")
+        psi, w = rho.amplitudes, rho.weights
+        residual = _commutator_residual(psi * w, _apply_s2(psi))
+        image = omega.coefficients @ psi
+        return _pushed(omega, (image * w) @ image.conj().T, residual)
     rho = np.asarray(rho, dtype=complex)
     dim = 2**omega.n
     if rho.shape != (dim, dim):
@@ -251,4 +281,4 @@ def push_density(omega: OmegaMap, rho: np.ndarray) -> OscillatorDensity:
     lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
     if lowest < -_PSD_TOL:
         raise ValidationError(f"density has negative eigenvalue {lowest:.3e}")
-    return _push(omega, rho)
+    return _push_dense(omega, rho)

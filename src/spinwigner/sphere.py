@@ -209,7 +209,7 @@ class LmDensity:
         """
         if tol is None:
             tol = 1e-13 * max(1.0, float(np.max(np.abs(density.elements), initial=0.0)))
-        states = fock_states(density.fock_cutoff)
+        states = fock_states(density.n)
         same: list[tuple[int, int, int, complex]] = []
         cross: list[tuple[int, int, int, int, complex]] = []
         rows, cols = np.nonzero(np.abs(density.elements) > tol)

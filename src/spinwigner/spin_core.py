@@ -26,10 +26,13 @@ import numpy as np
 
 from .errors import CapacityError, NumericError, ValidationError
 
-#: Largest spin count accepted by default (dense 2^n matrices).
+#: Largest spin count accepted by default. States are handled by O(n 2^n)
+#: bit flips; what stays dense is the labelled basis (2^n vectors of length
+#: 2^n: 4^n memory, 268 MB at n = 12) and the ``operator`` kind's matrix.
 DEFAULT_MAX_SPINS = 12
 
 _NORM_TOL = 1e-9
+_WEIGHT_TOL = 1e-12
 _SVD_TOL = 1e-10
 _GS_TOL = 1e-7
 
@@ -39,7 +42,8 @@ def _check_capacity(n: int, max_spins: int | None) -> None:
     if n < 1 or n > limit:
         raise CapacityError(
             f"spin count {n} outside supported range 1..{limit} "
-            "(raise max_spins to allow larger dense matrices)"
+            "(raise max_spins to allow more; the labelled basis and the operator "
+            "kind take 4^n memory)"
         )
 
 
@@ -70,6 +74,51 @@ class SpinState:
     def density(self) -> np.ndarray:
         """Rank-one density matrix |psi><psi|."""
         return np.outer(self.amplitudes, self.amplitudes.conj())
+
+
+@dataclass(frozen=True)
+class SpinMixture:
+    """Convex mixture sum_i w_i |psi_i><psi_i| kept in factored form.
+
+    ``amplitudes[:, i]`` is the normalized state psi_i and ``weights[i]``
+    its weight. Weights are non-negative and sum to 1, so the density is
+    positive semidefinite with unit trace by construction. ``np.asarray``
+    gives the dense 2^n x 2^n matrix.
+    """
+
+    n: int
+    weights: np.ndarray
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if w.ndim != 1 or w.size == 0:
+            raise ValidationError("mixture needs at least one component")
+        if amps.shape != (2**self.n, w.size):
+            raise ValidationError(
+                f"amplitude columns have shape {amps.shape}, expected ({2**self.n}, {w.size})"
+            )
+        if w.min() < -_WEIGHT_TOL:
+            raise ValidationError(f"negative mixture weight {float(w.min())!r}")
+        total = sum(w.tolist())
+        if abs(total - 1.0) > _WEIGHT_TOL:
+            raise ValidationError(f"mixture weights sum to {total!r}, not 1")
+        nrm2 = np.sum(np.abs(amps) ** 2, axis=0)
+        if np.max(np.abs(nrm2 - 1.0)) > _NORM_TOL:
+            raise ValidationError(f"component norms^2 {nrm2!r} are not 1 within {_NORM_TOL}")
+        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "amplitudes", _readonly(amps))
+
+    @property
+    def trace(self) -> float:
+        return float(np.sum(self.weights * np.sum(np.abs(self.amplitudes) ** 2, axis=0)))
+
+    def __array__(self, dtype=None, copy=None):
+        rho = np.zeros((2**self.n, 2**self.n), dtype=complex)
+        for w, psi in zip(self.weights, self.amplitudes.T):
+            rho += w * np.outer(psi, psi.conj())
+        return rho if dtype is None else rho.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -133,16 +182,34 @@ def shell_multiplicity(n: int, two_l: int) -> int:
     return comb(n, d) - (comb(n, d - 1) if d >= 1 else 0)
 
 
+def _apply_ladder(x: np.ndarray, raising: bool) -> np.ndarray:
+    """Apply S_+ (``raising``) or S_- along axis 0 of a (2^n, ...) array.
+
+    Site ``bit`` contributes |up><down| on that bit: S_+ adds the amplitude
+    of every index with the bit clear onto the index with it set. Viewing
+    axis 0 as (high bits, this bit, low bits) makes that one slice addition
+    per site, O(n 2^n) per column and no 2^n x 2^n matrix.
+    """
+    x = np.ascontiguousarray(x)
+    dim = x.shape[0]
+    src, dst = (0, 1) if raising else (1, 0)
+    out = np.zeros(x.shape, dtype=np.result_type(x.dtype, float))
+    for bit in range(dim.bit_length() - 1):
+        shape = (dim >> (bit + 1), 2, 1 << bit, -1)
+        out.reshape(shape)[:, dst] += x.reshape(shape)[:, src]
+    return out
+
+
+def _apply_s2(x: np.ndarray) -> np.ndarray:
+    """Total spin squared along axis 0, as S_- S_+ + S_3 (S_3 + 1)."""
+    s3 = _s3_diagonal(x.shape[0].bit_length() - 1).reshape((-1,) + (1,) * (x.ndim - 1))
+    return _apply_ladder(_apply_ladder(x, True), False) + (s3 * (s3 + 1.0)) * x
+
+
 @lru_cache(maxsize=64)
 def _ladder_plus(n: int) -> np.ndarray:
     """Collective raising operator: sum over sites of |up><down|."""
-    dim = 2**n
-    sp = np.zeros((dim, dim), dtype=complex)
-    for bit in range(n):
-        mask = 1 << bit
-        src = np.array([i for i in range(dim) if not i & mask])
-        sp[src + mask, src] += 1.0
-    return _readonly(sp)
+    return _readonly(_apply_ladder(np.eye(2**n, dtype=complex), True))
 
 
 @lru_cache(maxsize=64)
@@ -166,8 +233,7 @@ def _collective(n: int, axis: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _total_squared(n: int) -> np.ndarray:
-    s1, s2, s3 = (_collective(n, ax) for ax in (1, 2, 3))
-    return _readonly(s1 @ s1 + s2 @ s2 + s3 @ s3)
+    return _readonly(_apply_s2(np.eye(2**n, dtype=complex)))
 
 
 def build_collective_spin(n: int, axis: int, *, max_spins: int | None = None) -> SpinOperator:
@@ -202,29 +268,28 @@ def _lex_order(indices: np.ndarray) -> np.ndarray:
     return np.sort(indices)[::-1]
 
 
-def _fix_phase(vec: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Make the first (lex order) non-negligible amplitude real positive."""
-    for idx in order:
-        a = vec[idx]
-        if abs(a) > 1e-12:
-            return vec * (a.conjugate() / abs(a))
-    raise NumericError("cannot phase-fix an (almost) zero vector")
-
-
-def _highest_weight_vectors(sp: np.ndarray, sector: np.ndarray, upper: np.ndarray,
-                            expected: int) -> list[np.ndarray]:
+def _highest_weight_vectors(n: int, sector: np.ndarray, upper: np.ndarray,
+                            expected: int) -> np.ndarray:
     """Orthonormal kernel of S_+ restricted to one S_3 sector.
 
+    Returns the kernel vectors as the columns of a (2^n, expected) array.
+    The S_+ block from ``sector`` to ``upper`` is read off the bit structure.
     The kernel is canonicalized by Gram-Schmidt over its projector columns,
-    swept in lexicographic order, so the result depends only on the subspace.
+    swept in lexicographic order, so the result depends only on the subspace;
+    each vector's first non-negligible amplitude (lex order) is then made
+    positive.
     """
-    dim = sp.shape[0]
     order = _lex_order(sector)
     if upper.size == 0:
-        kernel = np.eye(len(sector), dtype=complex)
+        kernel = np.eye(len(order))
     else:
-        block = sp[np.ix_(upper, order)]
-        u, s, vh = np.linalg.svd(block)
+        # one entry 1 per (sector index, clear bit): S_+ sets that bit
+        bits = 1 << np.arange(n)[:, None]
+        clear = (order & bits) == 0
+        cols = np.broadcast_to(np.arange(len(order)), clear.shape)[clear]
+        block = np.zeros((len(upper), len(order)))
+        block[np.searchsorted(upper, (order | bits)[clear]), cols] = 1.0
+        _, s, vh = np.linalg.svd(block)
         rank = len(order) - expected
         small = s[rank:] if rank < len(s) else np.array([])
         if (rank > 0 and len(s) >= rank and s[rank - 1] < 1e-6) or np.any(small > _SVD_TOL):
@@ -232,45 +297,42 @@ def _highest_weight_vectors(sp: np.ndarray, sector: np.ndarray, upper: np.ndarra
                 f"ladder kernel extraction did not separate: singular values {s!r}, "
                 f"expected kernel dimension {expected}"
             )
-        kernel = vh[rank:, :].conj().T  # len(order) x expected, in lex coordinates
-    proj = kernel @ kernel.conj().T
+        kernel = vh[rank:, :].T  # len(order) x expected, in lex coordinates
+    proj = kernel @ kernel.T
 
-    accepted: list[np.ndarray] = []
+    q = np.zeros((len(order), expected))
+    found = 0
     for col in range(len(order)):
         w = proj[:, col].copy()
         for _ in range(2):  # re-orthogonalize once for stability
-            for a in accepted:
-                w -= np.vdot(a, w) * a
+            w -= q[:, :found] @ (q[:, :found].T @ w)
         nrm = np.linalg.norm(w)
         if nrm > _GS_TOL:
-            accepted.append(w / nrm)
-        if len(accepted) == expected:
-            break
-    if len(accepted) != expected:
-        raise NumericError(
-            f"Gram-Schmidt recovered {len(accepted)} of {expected} kernel vectors"
-        )
+            q[:, found] = w / nrm
+            found += 1
+            if found == expected:
+                break
+    if found != expected:
+        raise NumericError(f"Gram-Schmidt recovered {found} of {expected} kernel vectors")
 
-    out = []
-    for w in accepted:
-        full = np.zeros(dim, dtype=complex)
-        full[order] = w
-        out.append(_fix_phase(full, np.arange(dim)[::-1]))
-    return out
+    lead = np.argmax(np.abs(q) > 1e-12, axis=0)
+    q *= np.sign(q[lead, np.arange(expected)])
+    tower = np.zeros((2**n, expected))
+    tower[order] = q
+    return tower
 
 
 def decompose_angular_basis(n: int, *, max_spins: int | None = None) -> AngularBasis:
     """Build the full (k, l, m) eigenbasis by ladder descent.
 
     Highest-weight vectors (the kernel of S_+ in each S_3 sector) are
-    canonically orthonormalized and phase-fixed; each tower is then filled
-    downward by applying S_- and normalizing. The construction is
-    deterministic: repeated calls return bit-identical vectors.
+    canonically orthonormalized and phase-fixed; all towers of a shell are
+    then filled downward together by applying S_- and normalizing. The
+    construction is deterministic: repeated calls return bit-identical
+    vectors.
     """
     _check_capacity(n, max_spins)
     dim = 2**n
-    sp = _ladder_plus(n)
-    sm = sp.conj().T
     popcount = np.array([bin(i).count("1") for i in range(dim)])
     sectors = {two_m: np.where(popcount == (two_m + n) // 2)[0]
                for two_m in range(n, -(n % 2) - 1, -2)}
@@ -278,17 +340,15 @@ def decompose_angular_basis(n: int, *, max_spins: int | None = None) -> AngularB
     entries: list[BasisEntry] = []
     for two_l in range(n, (n % 2) - 1, -2):
         expected = shell_multiplicity(n, two_l)
-        if expected == 0:
-            continue
         upper = sectors.get(two_l + 2, np.array([], dtype=int))
-        highest = _highest_weight_vectors(sp, sectors[two_l], upper, expected)
-        for k, vec in enumerate(highest):
-            v = vec
-            for two_m in range(two_l, -two_l - 1, -2):
-                entries.append(BasisEntry(k, two_l, two_m, SpinState(n, v)))
-                if two_m > -two_l:
-                    w = sm @ v
-                    v = w / np.linalg.norm(w)
+        levels = [_highest_weight_vectors(n, sectors[two_l], upper, expected)]
+        for _ in range(two_l):
+            w = _apply_ladder(levels[-1], False)
+            levels.append(w / np.linalg.norm(w, axis=0))
+        rows = [level.T.astype(complex) for level in levels]  # row k: tower k
+        for k in range(expected):
+            for step, level in enumerate(rows):
+                entries.append(BasisEntry(k, two_l, two_l - 2 * step, SpinState(n, level[k])))
     if len(entries) != dim:
         raise NumericError(f"basis has {len(entries)} entries, expected {dim}")
     return AngularBasis(n, tuple(entries))

@@ -12,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NumericError, ValidationError
-from .spin_core import SpinState, ladder
-
-_WEIGHT_TOL = 1e-12
+from .spin_core import SpinMixture, SpinState, _apply_ladder
 
 
 def fock_state(n: int, k: int) -> SpinState:
@@ -27,9 +24,8 @@ def fock_state(n: int, k: int) -> SpinState:
         raise ValidationError(f"excitation count {k} outside 0..{n}")
     vec = np.zeros(2**n, dtype=complex)
     vec[0] = 1.0  # all spins down
-    sp = ladder(n, "raise").matrix
     for _ in range(k):
-        vec = sp @ vec
+        vec = _apply_ladder(vec, True)
     return SpinState(n, vec / np.linalg.norm(vec))
 
 
@@ -54,38 +50,57 @@ def cat_state(n: int) -> SpinState:
     return SpinState(n, vec)
 
 
-def mixture(components: list[tuple[float, SpinState]]) -> np.ndarray:
-    """Convex mixture of pure states as a density matrix."""
+def mixture(components: list[tuple[float, SpinState]]) -> SpinMixture:
+    """Convex mixture of pure states, kept factored; ``np.asarray`` of the
+    result is the density matrix."""
     if not components:
         raise ValidationError("mixture needs at least one component")
-    weights = [w for w, _ in components]
-    if min(weights) < -_WEIGHT_TOL:
-        raise ValidationError(f"negative mixture weight {min(weights)!r}")
-    if abs(sum(weights) - 1.0) > _WEIGHT_TOL:
-        raise ValidationError(f"mixture weights sum to {sum(weights)!r}, not 1")
     n = components[0][1].n
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    for w, state in components:
-        if state.n != n:
-            raise ValidationError("mixture components act on different spin counts")
-        rho += w * state.density
-    return rho
+    if any(state.n != n for _, state in components):
+        raise ValidationError("mixture components act on different spin counts")
+    return SpinMixture(n, [w for w, _ in components],
+                       np.column_stack([state.amplitudes for _, state in components]))
+
+
+def _expm_apply(gen, vec: np.ndarray, norm_bound: float) -> np.ndarray:
+    """exp(G) vec for a linear map ``gen`` with ||G||_2 <= ``norm_bound``.
+
+    The exponent is split into s steps with ||G|| / s <= 4, and each step
+    sums its Taylor series until a term no longer changes the result; a
+    step's largest term is then 4^4 / 4! ~ 11 times its sum, which costs
+    about one digit.
+    """
+    steps = max(1, int(np.ceil(norm_bound / 4.0)))
+    for _ in range(steps):
+        term, total = vec, vec.copy()
+        for k in range(1, 60):
+            term = gen(term) / (k * steps)
+            total += term
+            if np.linalg.norm(term) <= np.finfo(float).eps * np.linalg.norm(total):
+                break
+        vec = total
+    return vec
 
 
 def squeezed_state(n: int, beta: complex, base: SpinState) -> SpinState:
     """Unitary squeezing of a base state.
 
-    Applies the exponential of beta S_+^2 - conj(beta) S_-^2. The generator
-    is anti-Hermitian, so the result stays normalized; since the ladder
-    operators commute with total spin squared, an outer-shell base stays in
-    the outer shell.
+    Applies the exponential of beta S_+^2 - conj(beta) S_-^2 to the
+    amplitude vector, with the ladder operators applied by bit flips. The
+    generator is anti-Hermitian, so the result stays normalized; since the
+    ladder operators commute with total spin squared, an outer-shell base
+    stays in the outer shell.
     """
     if base.n != n:
         raise ValidationError(f"base state has {base.n} spins, expected {n}")
-    sp = ladder(n, "raise").matrix
-    sm = sp.conj().T
-    gen = beta * (sp @ sp) - np.conjugate(beta) * (sm @ sm)
-    vec = expm(gen) @ base.amplitudes
+
+    def gen(v):
+        twice_up = _apply_ladder(_apply_ladder(v, True), True)
+        twice_down = _apply_ladder(_apply_ladder(v, False), False)
+        return beta * twice_up - np.conjugate(beta) * twice_down
+
+    # ||S_+^2||_2 <= ||S_+||_2^2 = (n/2)(n/2 + 1) + 1/4
+    vec = _expm_apply(gen, base.amplitudes, 2.0 * abs(beta) * (n + 1) ** 2 / 4.0)
     nrm = np.linalg.norm(vec)
     if abs(nrm - 1.0) > 1e-10:
         raise NumericError(f"squeezing exponential drifted the norm to {nrm!r}")
@@ -150,9 +165,10 @@ def realize_state(spec: StateSpec) -> SpinState:
     raise ValidationError(f"spec kind {spec.kind!r} does not describe a pure state")
 
 
-def realize_operator(spec: StateSpec) -> np.ndarray:
-    """Build the operator a spec describes: a density matrix for state
-    kinds, the raw matrix for the operator kind."""
+def realize_operator(spec: StateSpec) -> SpinMixture | np.ndarray:
+    """Build the operator a spec describes: a factored ``SpinMixture`` for
+    state kinds (``np.asarray`` gives its density matrix), the raw matrix
+    for the operator kind."""
     if spec.kind == "mixture":
         return mixture([(w, realize_state(c)) for w, c in spec.components])
     if spec.kind == "operator":
@@ -161,4 +177,4 @@ def realize_operator(spec: StateSpec) -> np.ndarray:
         if mat.shape != (dim, dim):
             raise ValidationError(f"operator matrix shape {mat.shape}, expected ({dim}, {dim})")
         return mat
-    return realize_state(spec).density
+    return mixture([(1.0, realize_state(spec))])

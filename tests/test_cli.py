@@ -318,3 +318,42 @@ def test_non_finite_value_refused_without_output(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _raw_component(weight, vec):
+    return f"component {weight!r} raw " + " ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in vec)
+
+
+def test_non_commuting_raw_mixture_residual_and_refusal(tmp_path, capsys):
+    # unequal weights keep the cross-shell coherence of (uu +- singlet)/sqrt2
+    up = np.array([0, 0, 0, 1], dtype=complex)
+    singlet = np.array([0, -1, 1, 0], dtype=complex) / ROOT2
+    text = "\n".join(["kind mixture", "spins 2",
+                      _raw_component(0.6, (up + singlet) / ROOT2),
+                      _raw_component(0.4, (up - singlet) / ROOT2)]) + "\n"
+    mix = sw.realize_operator(parse_state_text(text))
+    rho = np.asarray(mix)
+    s2 = sw.total_spin_squared(2).matrix
+    dense = float(np.max(np.abs(rho @ s2 - s2 @ rho)))
+    assert dense > 0.1
+    om = sw.construct_omega(sw.decompose_angular_basis(2))
+    assert abs(sw.push_density(om, mix).s2_residual - dense) <= 1e-12
+
+    out = tmp_path / "vol.csv"
+    code = main(["volume", "--state", _state_file(tmp_path, text), "--grid",
+                 "x1:-1:1:3,x2:-1:1:3,x3:-1:1:3", "--out", str(out)])
+    assert code == 1
+    assert "plane4d" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weights", [(-0.2, 1.2), (0.5, 0.6)])
+def test_invalid_mixture_weights_exit_without_output(tmp_path, capsys, weights):
+    text = (f"kind mixture\nspins 5\ncomponent {weights[0]!r} coherent 0 0\n"
+            f"component {weights[1]!r} cat\n")
+    out = tmp_path / "vol.csv"
+    code = main(["volume", "--state", _state_file(tmp_path, text), "--grid",
+                 "x1:-1:1:3,x2:-1:1:3,x3:-1:1:3", "--out", str(out)])
+    assert code == 1
+    assert "weight" in capsys.readouterr().err
+    assert not out.exists()

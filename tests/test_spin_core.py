@@ -111,7 +111,7 @@ def test_decompose_shell_structure():
     assert sw.decompose_angular_basis(3).shell_multiplicities() == {3: 1, 1: 2}
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_decompose_is_orthonormal_eigenbasis(n):
     basis = sw.decompose_angular_basis(n)
     assert len(basis.entries) == 2**n
