@@ -39,7 +39,6 @@ from .moyal import (
     PhasePoint4,
     laguerre,
     moyal_1d,
-    oracle_wigner_integral,
     wigner_4d,
     wigner_4d_complex,
     wigner_4d_many,
@@ -107,7 +106,6 @@ __all__ = [
     "laguerre",
     "mixture",
     "moyal_1d",
-    "oracle_wigner_integral",
     "push_density",
     "push_operator",
     "radial_integral_I",

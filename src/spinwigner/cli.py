@@ -311,21 +311,35 @@ def _chunked(fn, total: int, threads: int) -> np.ndarray:
     return np.concatenate([np.atleast_1d(p) for p in parts])
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12e}"
+def _write_grid(path: str, header: list[str], grid: GridSpec, names: list[str],
+                values: list[np.ndarray]) -> None:
+    """Write one row per grid point, axes in "ij" order, then the values.
 
-
-def _write_table(path: str, header: list[str], columns: list[str],
-                 data: list[np.ndarray]) -> None:
-    """Write one row per index of the equal-length value arrays in ``data``."""
-    if not np.isfinite(data).all():
+    Numbers read as ``f"{v:.12e}"``. Axis points are formatted once; each
+    chunk of rows is one ``%`` on a flat list of labels and values, so no
+    string or object array spans the whole grid.
+    """
+    points = [a.points() for a in grid.axes]
+    if not (np.isfinite(values).all() and all(np.isfinite(p).all() for p in points)):
         raise NumericError("refusing to write a non-finite value")
+    labels = [np.array([f"{v:.12e}" for v in p], dtype=object) for p in points]
+    sizes = [p.size for p in points]
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    width = len(labels) + len(values)
+    row = ",".join(["%s"] * len(labels) + ["%.12e"] * len(values)) + "\n"
+    total = math.prod(sizes)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header:
             fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in zip(*data):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join([a.name for a in grid.axes] + names) + "\n")
+        for start in range(0, total, _CHUNK):
+            index = np.arange(start, min(start + _CHUNK, total))
+            flat = [None] * (index.size * width)
+            for k, (lab, stride, size) in enumerate(zip(labels, strides, sizes)):
+                flat[k::width] = lab[index // stride % size].tolist()
+            for k, col in enumerate(values, start=len(labels)):
+                flat[k::width] = col[start:start + index.size].tolist()
+            fh.write(row * index.size % tuple(flat))
 
 
 def _maybe_normalization(density: OscillatorDensity, notes: list[str]) -> float:
@@ -338,59 +352,41 @@ def _maybe_normalization(density: OscillatorDensity, notes: list[str]) -> float:
     return sphere_normalization(density)
 
 
-def cmd_eval_volume(spec: StateSpec, grid: GridSpec, out_path: str,
-                    threads: int = 1) -> EvalReport:
-    """Evaluate the reduced function on a volume grid and write it out."""
+def _evaluate_grid(spec: StateSpec, grid: GridSpec, out_path: str, evaluate,
+                   header: tuple[str, ...] = ()) -> EvalReport:
+    """Push, evaluate, normalize, and write the file only once all succeeded.
+
+    ``evaluate(density, *axis_points, notes)`` gets one flat array per axis
+    and returns the value column names and arrays.
+    """
     started = time.perf_counter()
     density, _ = _push_spec(spec)
-    if not density.commutes_with_s2:
-        raise ValidationError(
-            "state does not commute with total spin squared (commutator residual "
-            f"{density.s2_residual:.3e}); the three-variable reduction is undefined. "
-            "Evaluate a plane4d slice instead."
-        )
-    g1, g2, g3 = np.meshgrid(*(a.points() for a in grid.axes), indexing="ij")
-    x1, x2, x3 = g1.ravel(), g2.ravel(), g3.ravel()
-    vals = _chunked(lambda s: reduced_wigner_many(density, x1[s], x2[s], x3[s]),
-                    x1.size, threads)
+    mesh = np.meshgrid(*(a.points() for a in grid.axes), indexing="ij")
     notes: list[str] = []
+    names, values = evaluate(density, *(g.ravel() for g in mesh), notes)
     norm = _maybe_normalization(density, notes)
-    header = [f"spinwigner {__version__}", f"state: {spec.describe()}",
-              f"grid: {grid.describe()}"]
-    _write_table(out_path, header, ["x1", "x2", "x3", "value"], [x1, x2, x3, vals])
+    _write_grid(out_path, [f"spinwigner {__version__}", f"state: {spec.describe()}",
+                           f"grid: {grid.describe()}", *header], grid, names, values)
     elapsed = (time.perf_counter() - started) * 1000.0
     return EvalReport(density.represented_trace, density.commutes_with_s2,
                       norm, elapsed, notes=tuple(notes))
 
 
-def _sphere_values(density: OscillatorDensity, theta: np.ndarray, phi: np.ndarray,
-                   method: str, notes: list[str], threads: int):
-    numeric = None
-    analytic = None
-    force = not density.commutes_with_s2
-    if force:
-        notes.append("numeric route uses the canonical section: operator does not "
-                     "commute with total spin squared, values are section-dependent")
-    if method in ("numeric", "both") or force:
-        numeric = _chunked(
-            lambda s: ws_numeric_many(density, theta[s], phi[s], force_section=force),
-            theta.size, threads)
-    if method in ("analytic", "both") and not force:
-        try:
-            lm = LmDensity.from_density(density)
-            analytic = np.array([ws_analytic(lm, SphPoint(t, p))
-                                 for t, p in zip(theta, phi)])
-        except ValidationError as exc:
-            notes.append(f"analytic route fell back to numeric: {exc}")
-            analytic = None
-            if numeric is None:
-                numeric = _chunked(
-                    lambda s: ws_numeric_many(density, theta[s], phi[s]),
-                    theta.size, threads)
-    elif method in ("analytic", "both") and force:
-        notes.append("analytic route fell back to numeric: cross-shell coherences "
-                     "have no closed spherical form")
-    return numeric, analytic
+def cmd_eval_volume(spec: StateSpec, grid: GridSpec, out_path: str,
+                    threads: int = 1) -> EvalReport:
+    """Evaluate the reduced function on a volume grid and write it out."""
+
+    def evaluate(density, x1, x2, x3, notes):
+        if not density.commutes_with_s2:
+            raise ValidationError(
+                "state does not commute with total spin squared (commutator residual "
+                f"{density.s2_residual:.3e}); the three-variable reduction is undefined. "
+                "Evaluate a plane4d slice instead."
+            )
+        return ["value"], [_chunked(
+            lambda s: reduced_wigner_many(density, x1[s], x2[s], x3[s]), x1.size, threads)]
+
+    return _evaluate_grid(spec, grid, out_path, evaluate)
 
 
 def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
@@ -398,27 +394,33 @@ def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
     """Evaluate the spherical function on an angular grid and write it out."""
     if method not in ("analytic", "numeric", "both"):
         raise ValidationError(f"method must be analytic, numeric or both, got {method!r}")
-    started = time.perf_counter()
-    density, _ = _push_spec(spec)
-    gt, gp = np.meshgrid(*(a.points() for a in grid.axes), indexing="ij")
-    theta, phi = gt.ravel(), gp.ravel()
-    notes: list[str] = []
-    numeric, analytic = _sphere_values(density, theta, phi, method, notes, threads)
 
-    header = [f"spinwigner {__version__}", f"state: {spec.describe()}",
-              f"grid: {grid.describe()}", f"method: {method}"]
-    if method == "both" and analytic is not None:
-        columns = ["theta", "phi", "value", "value_numeric", "abs_diff"]
-        data = [theta, phi, analytic, numeric, np.abs(analytic - numeric)]
-    else:
-        columns = ["theta", "phi", "value"]
-        data = [theta, phi, analytic if analytic is not None else numeric]
-    _write_table(out_path, header, columns, data)
+    def evaluate(density, theta, phi, notes):
+        force = not density.commutes_with_s2
+        analytic = numeric = None
+        if force:
+            notes.append("numeric route uses the canonical section: operator does not "
+                         "commute with total spin squared, values are section-dependent")
+            if method != "numeric":
+                notes.append("analytic route fell back to numeric: cross-shell coherences "
+                             "have no closed spherical form")
+        elif method != "numeric":
+            try:
+                lm = LmDensity.from_density(density)
+                analytic = np.array([ws_analytic(lm, SphPoint(t, p))
+                                     for t, p in zip(theta, phi)])
+            except ValidationError as exc:
+                notes.append(f"analytic route fell back to numeric: {exc}")
+        if method != "analytic" or analytic is None:
+            numeric = _chunked(
+                lambda s: ws_numeric_many(density, theta[s], phi[s], force_section=force),
+                theta.size, threads)
+        if analytic is not None and numeric is not None:
+            return (["value", "value_numeric", "abs_diff"],
+                    [analytic, numeric, np.abs(analytic - numeric)])
+        return ["value"], [numeric if analytic is None else analytic]
 
-    norm = _maybe_normalization(density, notes)
-    elapsed = (time.perf_counter() - started) * 1000.0
-    return EvalReport(density.represented_trace, density.commutes_with_s2,
-                      norm, elapsed, notes=tuple(notes))
+    return _evaluate_grid(spec, grid, out_path, evaluate, (f"method: {method}",))
 
 
 def cmd_eval_plane4d(spec: StateSpec, grid: GridSpec, out_path: str,
@@ -428,26 +430,18 @@ def cmd_eval_plane4d(spec: StateSpec, grid: GridSpec, out_path: str,
     This is the escape hatch for operators that cannot be reduced to three
     variables; complex values are written as separate re/im columns.
     """
-    started = time.perf_counter()
-    density, _ = _push_spec(spec)
-    ga, gb = np.meshgrid(*(a.points() for a in grid.axes), indexing="ij")
-    coords = {name: val * np.ones(ga.size) for name, val in grid.fixed}
-    coords[grid.axes[0].name] = ga.ravel()
-    coords[grid.axes[1].name] = gb.ravel()
-    vals = _chunked(
-        lambda s: wigner_complex_many(density, coords["q1"][s], coords["p1"][s],
-                                      coords["q2"][s], coords["p2"][s]),
-        ga.size, threads)
-    notes: list[str] = []
-    norm = _maybe_normalization(density, notes)
-    header = [f"spinwigner {__version__}", f"state: {spec.describe()}",
-              f"grid: {grid.describe()}"]
-    a_name, b_name = grid.axes[0].name, grid.axes[1].name
-    _write_table(out_path, header, [a_name, b_name, "value_re", "value_im"],
-                 [ga.ravel(), gb.ravel(), vals.real, vals.imag])
-    elapsed = (time.perf_counter() - started) * 1000.0
-    return EvalReport(density.represented_trace, density.commutes_with_s2,
-                      norm, elapsed, notes=tuple(notes))
+
+    def evaluate(density, ga, gb, notes):
+        coords = {name: np.full(ga.size, val) for name, val in grid.fixed}
+        coords[grid.axes[0].name] = ga
+        coords[grid.axes[1].name] = gb
+        vals = _chunked(
+            lambda s: wigner_complex_many(density, coords["q1"][s], coords["p1"][s],
+                                          coords["q2"][s], coords["p2"][s]),
+            ga.size, threads)
+        return ["value_re", "value_im"], [vals.real, vals.imag]
+
+    return _evaluate_grid(spec, grid, out_path, evaluate)
 
 
 def cmd_check(spec: StateSpec, tolerances: dict[str, float] | None = None,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -224,12 +224,39 @@ class LmDensity:
                 cross.append((bl, bm, kl, km, v))
         return cls(density.n, tuple(same), tuple(cross))
 
+    @cached_property
+    def _terms(self) -> tuple[tuple[complex, int, int, int, int], ...]:
+        """Point-independent parts of each same-shell closed form.
 
-def _phase_power(sin_theta: float, phi: float, sign: int, count: int) -> complex:
+        Per term: the coefficient v (-1)^(2l) / (4 pi) times the factorial
+        ratio, the sign of the azimuth in its phase, the power dm of that
+        phase, and the indices (i, j) of its radial factor I(i, j, dm; c).
+        """
+        terms = []
+        for two_l, two_m, two_mp, v in self.same_shell:
+            parity = -1.0 if two_l % 2 else 1.0
+            lpm = (two_l + two_m) // 2
+            lmm = (two_l - two_m) // 2
+            lpmp = (two_l + two_mp) // 2
+            lmmp = (two_l - two_mp) // 2
+            if two_m <= two_mp:
+                ratio = math.exp(0.5 * (math.lgamma(lpm + 1) + math.lgamma(lmmp + 1)
+                                        - math.lgamma(lpmp + 1) - math.lgamma(lmm + 1)))
+                term = (-1, (two_mp - two_m) // 2, lmmp, lpm)
+            else:
+                ratio = math.exp(0.5 * (math.lgamma(lpmp + 1) + math.lgamma(lmm + 1)
+                                        - math.lgamma(lpm + 1) - math.lgamma(lmmp + 1)))
+                term = (+1, (two_m - two_mp) // 2, lmm, lpmp)
+            terms.append((v * parity / (4.0 * math.pi) * ratio, *term))
+        return tuple(terms)
+
+
+def _phase_powers(sin_theta: float, phi: float, sign: int, top: int) -> list[complex]:
+    """Powers 0..top of -sin(theta) e^(i sign phi), by repeated multiplication."""
     base = -sin_theta * complex(math.cos(sign * phi), math.sin(sign * phi))
-    out = 1.0 + 0.0j
-    for _ in range(count):
-        out *= base
+    out = [1.0 + 0.0j]
+    for _ in range(top):
+        out.append(out[-1] * base)
     return out
 
 
@@ -254,26 +281,11 @@ def ws_analytic(lm_density: LmDensity, pt: SphPoint) -> float:
         )
     cos_t = math.cos(pt.theta)
     sin_t = math.sin(pt.theta)
+    # |m - m'| <= 2l <= n bounds every term's phase power
+    powers = {sign: _phase_powers(sin_t, pt.phi, sign, lm_density.n) for sign in (-1, 1)}
     total = 0.0 + 0.0j
-    for two_l, two_m, two_mp, v in lm_density.same_shell:
-        sign = -1.0 if two_l % 2 else 1.0
-        lpm = (two_l + two_m) // 2
-        lmm = (two_l - two_m) // 2
-        lpmp = (two_l + two_mp) // 2
-        lmmp = (two_l - two_mp) // 2
-        if two_m <= two_mp:
-            dm = (two_mp - two_m) // 2
-            ratio = math.exp(0.5 * (math.lgamma(lpm + 1) + math.lgamma(lmmp + 1)
-                                    - math.lgamma(lpmp + 1) - math.lgamma(lmm + 1)))
-            phase = _phase_power(sin_t, pt.phi, -1, dm)
-            radial = _radial_memo(lmmp, lpm, dm, cos_t)
-        else:
-            dm = (two_m - two_mp) // 2
-            ratio = math.exp(0.5 * (math.lgamma(lpmp + 1) + math.lgamma(lmm + 1)
-                                    - math.lgamma(lpm + 1) - math.lgamma(lmmp + 1)))
-            phase = _phase_power(sin_t, pt.phi, +1, dm)
-            radial = _radial_memo(lmm, lpmp, dm, cos_t)
-        total += v * sign / (4.0 * math.pi) * ratio * phase * radial
+    for coef, sign, dm, i, j in lm_density._terms:
+        total += coef * powers[sign][dm] * _radial_memo(i, j, dm, cos_t)
     if abs(total.imag) > _IMAG_TOL:
         raise NumericError(
             f"imaginary residual {abs(total.imag):.3e} exceeds {_IMAG_TOL:.0e} "

@@ -1,5 +1,7 @@
 """Shared fixtures-by-function for the test suite."""
 
+import math
+
 import numpy as np
 
 import spinwigner as sw
@@ -37,3 +39,80 @@ def nonreducible_two_spin_operator() -> np.ndarray:
     a[0b11, 0b10] = 1.0 / np.sqrt(2.0)
     a[0b11, 0b01] = -1.0 / np.sqrt(2.0)
     return a
+
+
+def hermite_functions(nmax: int, x: np.ndarray) -> np.ndarray:
+    """Orthonormal oscillator eigenfunctions psi_0..psi_nmax on a grid.
+
+    Uses the normalized recurrence, stable for the small excitation counts
+    handled here.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((nmax + 1,) + x.shape, dtype=float)
+    out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if nmax >= 1:
+        out[1] = math.sqrt(2.0) * x * out[0]
+    for k in range(2, nmax + 1):
+        out[k] = math.sqrt(2.0 / k) * x * out[k - 1] - math.sqrt((k - 1.0) / k) * out[k - 2]
+    return out
+
+
+def _oracle_eval(density: sw.OscillatorDensity, pt: sw.PhasePoint4, half_width: float,
+                 points: int) -> complex:
+    """Trapezoid evaluation of the defining phase-space integral.
+
+    The integrand factorizes mode by mode, so the tensor-grid double
+    integral is accumulated as products of one-dimensional sums.
+    """
+    cutoff = density.n
+    states = sw.fock_states(cutoff)
+    y = np.linspace(-half_width, half_width, points)
+    w = np.full(points, y[1] - y[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+
+    def mode_integrals(q, p):
+        minus = hermite_functions(cutoff, q - y)
+        plus = hermite_functions(cutoff, q + y)
+        phase = w * np.exp(2j * p * y)
+        # entry [ket, bra]: integral of psi_bra(q - y) psi_ket(q + y) e^{2ipy} / pi
+        return np.einsum("ay,by,y->ba", minus, plus, phase) / math.pi
+
+    i1 = mode_integrals(pt.q1, pt.p1)
+    i2 = mode_integrals(pt.q2, pt.p2)
+    total = 0.0 + 0.0j
+    rows, cols = np.nonzero(density.elements)
+    for f, g in zip(rows, cols):
+        b1, b2 = states[f]
+        k1, k2 = states[g]
+        total += density.elements[f, g] * i1[k1, b1] * i2[k2, b2]
+    return complex(total)
+
+
+def oracle_wigner_integral(density: sw.OscillatorDensity, pt: sw.PhasePoint4, *,
+                           initial_points: int = 65, max_refinements: int = 6,
+                           tol: float = 1e-7) -> float:
+    """Wigner value by direct numerical integration; a test oracle.
+
+    Integrates the defining integral with oscillator eigenfunctions in
+    position space on [-L, L]^2, doubling the trapezoid resolution until
+    two successive refinements agree. Intended for small Fock supports.
+    """
+    cutoff = density.n
+    if cutoff > 12:
+        raise sw.ValidationError(
+            f"oracle supports Fock cutoff <= 12, got {cutoff}"
+        )
+    half_width = max(6.0, math.sqrt(2.0 * cutoff) + 4.0)
+    points = initial_points
+    prev = None
+    for _ in range(max_refinements + 1):
+        val = _oracle_eval(density, pt, half_width, points)
+        if prev is not None and abs(val - prev) <= tol:
+            return val.real
+        prev = val
+        points = 2 * points - 1
+    raise sw.NumericError(
+        f"oracle quadrature did not converge: last refinement changed by "
+        f"{abs(val - prev):.3e} (> {tol:.0e})"
+    )

@@ -357,3 +357,44 @@ def test_invalid_mixture_weights_exit_without_output(tmp_path, capsys, weights):
     assert code == 1
     assert "weight" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, grid_text, chunk", [
+    ("plane4d", "q1:-1:1:3,p1:-2:2:3", 4),  # chunks of 4, 4 and 1 rows
+    ("volume", "x1:-4:4:5,x2:-1:1:3,x3:0:2:2", 7),
+    ("sphere", "theta:0:3.14:3,phi:0:6.28:2731", None),  # one row past 8192
+], ids=["plane4d-1-row-chunk", "volume-chunk-7", "sphere-default-chunk"])
+def test_grid_writer_matches_reference_formatting(tmp_path, monkeypatch, kind, grid_text, chunk):
+    import spinwigner.cli as cli
+
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+    grid = parse_grid(kind, grid_text)
+    mesh = [g.ravel() for g in np.meshgrid(*(a.points() for a in grid.axes), indexing="ij")]
+    rng = np.random.default_rng(len(mesh[0]))
+    values = [rng.normal(size=mesh[0].size) * 10.0 ** rng.integers(-320, 300, size=mesh[0].size)
+              for _ in range(2)]
+    values[0][:8] = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, -1 / 3]
+    values[1][-1] = -0.0
+    out = tmp_path / "grid.csv"
+    cli._write_grid(str(out), ["head one", "head two"], grid, ["u", "v"], values)
+
+    names = [a.name for a in grid.axes] + ["u", "v"]
+    expect = "# head one\n# head two\n" + ",".join(names) + "\n" + "".join(
+        ",".join(f"{v:.12e}" for v in row) + "\n" for row in zip(*mesh, *values))
+    assert out.read_bytes() == expect.encode()
+
+
+def test_sphere_normalization_failure_writes_no_file(tmp_path, monkeypatch, capsys):
+    import spinwigner.cli as cli
+
+    def failing(density):
+        raise sw.NumericError("normalization failed on purpose")
+
+    monkeypatch.setattr(cli, "sphere_normalization", failing)
+    out = tmp_path / "sph.csv"
+    code = main(["sphere", "--state", _state_file(tmp_path, CAT5), "--grid",
+                 "theta:0:3.14:3,phi:0:6.28:4", "--out", str(out), "--method", "analytic"])
+    assert code == 2
+    assert "on purpose" in capsys.readouterr().err
+    assert not out.exists()

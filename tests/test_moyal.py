@@ -9,7 +9,8 @@ from scipy.special import eval_genlaguerre
 import spinwigner as sw
 from spinwigner.omega_map import OscillatorDensity, fock_index
 
-from helpers import basis_vector, nonreducible_two_spin_operator, omega, push_pure
+from helpers import (basis_vector, nonreducible_two_spin_operator, omega,
+                     oracle_wigner_integral, push_pure)
 
 
 def test_laguerre_hand_values():
@@ -134,7 +135,7 @@ def test_oracle_matches_moyal_sum_one_spin():
     rng = np.random.default_rng(20)
     for _ in range(20):
         pt = sw.PhasePoint4(*rng.uniform(-2.5, 2.5, size=4))
-        assert abs(sw.wigner_4d(d, pt) - sw.oracle_wigner_integral(d, pt)) <= 1e-6
+        assert abs(sw.wigner_4d(d, pt) - oracle_wigner_integral(d, pt)) <= 1e-6
 
 
 def test_oracle_ground_state_origin():
@@ -142,7 +143,7 @@ def test_oracle_ground_state_origin():
     e = np.zeros((size, size), dtype=complex)
     e[fock_index(1)[(0, 0)], fock_index(1)[(0, 0)]] = 1.0
     d = OscillatorDensity.from_fock_elements(1, e)
-    val = sw.oracle_wigner_integral(d, sw.PhasePoint4(0, 0, 0, 0))
+    val = oracle_wigner_integral(d, sw.PhasePoint4(0, 0, 0, 0))
     assert val == pytest.approx(1.0 / math.pi**2, abs=1e-8)
 
 
@@ -154,7 +155,7 @@ def test_oracle_singlet_gaussian():
     for _ in range(5):
         q1, p1, q2, p2 = rng.uniform(-1.5, 1.5, size=4)
         r = q1 * q1 + p1 * p1 + q2 * q2 + p2 * p2
-        val = sw.oracle_wigner_integral(d, sw.PhasePoint4(q1, p1, q2, p2))
+        val = oracle_wigner_integral(d, sw.PhasePoint4(q1, p1, q2, p2))
         assert val == pytest.approx(math.exp(-r) / math.pi**2, abs=1e-7)
 
 
@@ -163,11 +164,11 @@ def test_oracle_five_excitation_support():
     rng = np.random.default_rng(22)
     for _ in range(4):
         pt = sw.PhasePoint4(*rng.uniform(-2.0, 2.0, size=4))
-        assert abs(sw.wigner_4d(d, pt) - sw.oracle_wigner_integral(d, pt)) <= 1e-6
+        assert abs(sw.wigner_4d(d, pt) - oracle_wigner_integral(d, pt)) <= 1e-6
 
 
 def test_oracle_reports_non_convergence():
     d = push_pure(1, basis_vector(1, 1))
     with pytest.raises(sw.NumericError, match="converge"):
-        sw.oracle_wigner_integral(d, sw.PhasePoint4(0.5, 0.1, 0.0, 0.0),
-                                  initial_points=5, max_refinements=0)
+        oracle_wigner_integral(d, sw.PhasePoint4(0.5, 0.1, 0.0, 0.0),
+                               initial_points=5, max_refinements=0)

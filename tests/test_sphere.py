@@ -291,20 +291,59 @@ def test_derived_normalization_rule_is_tight():
     assert abs(sw.sphere_normalization(d, resolution=(n // 2 + 1, n)) - dense) > 1e-3
 
 
-@pytest.mark.parametrize("n, state", [
+_ANALYTIC_STATES = pytest.mark.parametrize("n, state", [
     (5, lambda n: sw.spin_coherent(n, 1.1, 0.4)),
     (6, lambda n: sw.squeezed_state(n, 0.2 + 0.1j, sw.spin_coherent(n, 0.8, 2.0))),
 ], ids=["coherent-5", "squeezed-6"])
+
+
+def _grid_points():
+    # 16 x 31 directions, theta = 0 and pi included
+    return [sw.SphPoint(t, p) for t in np.linspace(0.0, math.pi, 16)
+            for p in np.linspace(0.0, 2.0 * math.pi, 31)]
+
+
+@_ANALYTIC_STATES
 def test_ws_analytic_radial_reuse_is_exact(n, state, monkeypatch):
     lm = LmDensity.from_density(push_pure(n, state(n).amplitudes))
-    thetas = np.linspace(0.0, math.pi, 16)
-    points = [sw.SphPoint(t, p) for t in thetas for p in np.linspace(0.0, 2.0 * math.pi, 31)]
+    points = _grid_points()
     sphere_mod._radial_memo.cache_clear()
     reused = [sw.ws_analytic(lm, pt) for pt in points]
     # summed once per theta, not once per (theta, phi)
-    assert sphere_mod._radial_memo.cache_info().misses <= thetas.size * len(lm.same_shell)
+    assert sphere_mod._radial_memo.cache_info().misses <= 16 * len(lm.same_shell)
     monkeypatch.setattr(sphere_mod, "_radial_memo", sw.radial_integral_I)
     assert reused == [sw.ws_analytic(lm, pt) for pt in points]
+
+
+def _ws_analytic_per_term(lm, pt):
+    """Closed-form sum recomputing every factor per term and point."""
+    cos_t, sin_t = math.cos(pt.theta), math.sin(pt.theta)
+    total = 0.0 + 0.0j
+    for two_l, two_m, two_mp, v in lm.same_shell:
+        sign = -1.0 if two_l % 2 else 1.0
+        lpm, lmm = (two_l + two_m) // 2, (two_l - two_m) // 2
+        lpmp, lmmp = (two_l + two_mp) // 2, (two_l - two_mp) // 2
+        if two_m <= two_mp:
+            dm, s, i, j = (two_mp - two_m) // 2, -1, lmmp, lpm
+            lg = math.lgamma(lpm + 1) + math.lgamma(lmmp + 1) - math.lgamma(lpmp + 1) - math.lgamma(lmm + 1)
+        else:
+            dm, s, i, j = (two_m - two_mp) // 2, 1, lmm, lpmp
+            lg = math.lgamma(lpmp + 1) + math.lgamma(lmm + 1) - math.lgamma(lpm + 1) - math.lgamma(lmmp + 1)
+        base = -sin_t * complex(math.cos(s * pt.phi), math.sin(s * pt.phi))
+        phase = 1.0 + 0.0j
+        for _ in range(dm):
+            phase *= base
+        total += (v * sign / (4.0 * math.pi) * math.exp(0.5 * lg) * phase
+                  * sw.radial_integral_I(i, j, dm, cos_t))
+    return total.real
+
+
+@_ANALYTIC_STATES
+def test_ws_analytic_hoisted_terms_match_per_term_sum(n, state):
+    lm = LmDensity.from_density(push_pure(n, state(n).amplitudes))
+    points = _grid_points()
+    assert [sw.ws_analytic(lm, pt) for pt in points] == [
+        _ws_analytic_per_term(lm, pt) for pt in points]
 
 
 def test_rotation_about_z_shifts_azimuth():
