@@ -65,8 +65,9 @@ def _gauss_laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_radial_nodes(n: int) -> int:
-    """Node count exact for the polynomial degree arising from n spins."""
-    return 2 * n + 8
+    """Fewest Gauss-Laguerre nodes exact for n spins: n + 2 nodes integrate
+    exp(-r) times any polynomial of degree up to 2n + 3."""
+    return n + 2
 
 
 def ws_numeric_many(density: OscillatorDensity, theta, phi, nodes: int | None = None, *,

@@ -274,6 +274,18 @@ def test_derived_normalization_rule_matches_dense_rule(n):
             sw.sphere_normalization(d, resolution=(64, 128)), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_default_radial_nodes_match_wider_rule(n):
+    wide = 2 * n + 8  # the node count used before 0.3.0
+    t, p = np.meshgrid(np.linspace(0.0, math.pi, 7), np.linspace(0.0, 2.0 * math.pi, 9),
+                       indexing="ij")
+    for d in _family_densities(n):
+        got = sw.ws_numeric_many(d, t.ravel(), p.ravel())
+        assert np.max(np.abs(got - sw.ws_numeric_many(d, t.ravel(), p.ravel(), wide))) <= 1e-12
+        assert sw.sphere_normalization(d) == pytest.approx(
+            sw.sphere_normalization(d, nodes=wide), abs=1e-12)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 11, 12])
 def test_derived_normalization_rule_random_block_diagonal(n):
     d = _random_block_diagonal(n, np.random.default_rng(70 + n))
