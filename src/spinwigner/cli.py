@@ -20,8 +20,9 @@ the only kind that may describe a non-density operator.
 Grids are given as ``--grid "name:lo:hi:samples,..."`` with axis names
 x1,x2,x3 (volume), theta,phi (sphere) or two of q1,p1,q2,p2 (plane4d).
 Output files are comma separated with a ``#`` commented header recording
-the state, grid and library version; they contain no timing information and
-are byte-identical across repeated runs.
+the state, grid and library version; they contain no timing information,
+are byte-identical across repeated runs, and are written only once the
+evaluation and the normalization have succeeded.
 
 Exit codes: 0 ok, 1 validation failure, 2 numeric failure, 3 capacity.
 """
