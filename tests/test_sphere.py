@@ -337,10 +337,12 @@ def _ws_analytic_per_term(lm, pt):
         lpmp, lmmp = (two_l + two_mp) // 2, (two_l - two_mp) // 2
         if two_m <= two_mp:
             dm, s, i, j = (two_mp - two_m) // 2, -1, lmmp, lpm
-            lg = math.lgamma(lpm + 1) + math.lgamma(lmmp + 1) - math.lgamma(lpmp + 1) - math.lgamma(lmm + 1)
+            lg = (math.lgamma(lpm + 1) + math.lgamma(lmmp + 1)
+                  - math.lgamma(lpmp + 1) - math.lgamma(lmm + 1))
         else:
             dm, s, i, j = (two_m - two_mp) // 2, 1, lmm, lpmp
-            lg = math.lgamma(lpmp + 1) + math.lgamma(lmm + 1) - math.lgamma(lpm + 1) - math.lgamma(lmmp + 1)
+            lg = (math.lgamma(lpmp + 1) + math.lgamma(lmm + 1)
+                  - math.lgamma(lpm + 1) - math.lgamma(lmmp + 1))
         base = -sin_t * complex(math.cos(s * pt.phi), math.sin(s * pt.phi))
         phase = 1.0 + 0.0j
         for _ in range(dm):
