@@ -13,11 +13,19 @@ matrix elements times products of one-mode Moyal functions, one per mode.
 
 Factorial ratios are taken in log space and the complex monomial is built
 by repeated multiplication, which keeps the axes exactly real/imaginary.
+
+The sum runs over blocks of ``_BLOCK`` points. Per block and mode, one table
+holds the entries the non-zero pairs need: exp(-rho) and the powers of q - ip
+are formed once, one Laguerre recurrence per order yields every degree, and
+mirrors are conjugates. Pairs then add up in ``np.nonzero`` order, the same
+operations as a per-pair sum over all points, so values are bit-identical,
+while memory stays (n + 1)^2 x ``_BLOCK`` entries per mode at any point count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,7 @@ from .omega_map import OscillatorDensity, fock_states
 
 _IMAG_TOL = 1e-8
 _LN2 = math.log(2.0)
+_BLOCK = 4096  # points per kernel block; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,15 @@ class PhasePoint4:
             object.__setattr__(self, name, v)
 
 
+def _laguerre_rows(degree: int, order, x):
+    """Yield L_0^order(x), ..., L_degree^order(x) by the upward recurrence."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)  # L_{-1} = 0: step 1 is 1 + order - x
+    yield cur
+    for k in range(1, degree + 1):
+        prev, cur = cur, ((2.0 * k - 1.0 + order - x) * cur - (k - 1.0 + order) * prev) / k
+        yield cur
+
+
 def laguerre(degree: int, order: int | float, x):
     """Generalized Laguerre polynomial by the three-term recurrence in degree.
 
@@ -54,35 +72,43 @@ def laguerre(degree: int, order: int | float, x):
     """
     if degree < 0:
         raise ValidationError(f"degree must be >= 0, got {degree}")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if degree == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + order - x
-    for k in range(2, degree + 1):
-        prev, cur = cur, ((2.0 * k - 1.0 + order - x) * cur - (k - 1.0 + order) * prev) / k
+    for cur in _laguerre_rows(degree, order, np.asarray(x, dtype=float)):
+        pass
     return cur if cur.ndim else float(cur)
+
+
+def _moyal_table(keys, q, p, out: np.ndarray) -> None:
+    """Fill out[row] with W_{n n'}(q, p) for each (row, n, n') of keys.
+
+    Each entry is ((pref * zbar^d) * exp(-rho)) * L_n^d(2 rho) for n <= n',
+    d = n' - n, and the conjugate of its mirror below the diagonal.
+    """
+    rho = q * q + p * p
+    damp = np.exp(-rho).astype(complex)
+    zbar = q - 1j * p
+    wanted = defaultdict(lambda: defaultdict(list))  # d -> degree -> [(row, mirrored)]
+    for row, n, n_prime in keys:
+        wanted[abs(n_prime - n)][min(n, n_prime)].append((row, n > n_prime))
+    mono = np.ones_like(q, dtype=complex)
+    for d in range(max(wanted, default=-1) + 1):
+        for n, lag in enumerate(_laguerre_rows(max(wanted[d], default=0), d, 2.0 * rho)):
+            if n in wanted[d]:
+                pref = (-1.0) ** n / math.pi * math.exp(
+                    0.5 * (d * _LN2 + math.lgamma(n + 1) - math.lgamma(n + d + 1)))
+                entry = pref * mono * damp * lag
+                for row, mirrored in wanted[d][n]:
+                    out[row] = np.conjugate(entry) if mirrored else entry
+        mono = mono * zbar
 
 
 def moyal_1d(n: int, n_prime: int, q, p):
     """One-mode Moyal function W_{n n'}(q, p); scalar or elementwise on arrays."""
     if n < 0 or n_prime < 0:
         raise ValidationError("Moyal indices must be >= 0")
-    if n > n_prime:
-        return np.conjugate(moyal_1d(n_prime, n, q, p))
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    d = n_prime - n
-    rho = q * q + p * p
-    pref = (-1.0) ** n / math.pi * math.exp(
-        0.5 * (d * _LN2 + math.lgamma(n + 1) - math.lgamma(n_prime + 1))
-    )
-    mono = np.ones_like(q, dtype=complex)
-    zbar = q - 1j * p
-    for _ in range(d):
-        mono = mono * zbar
-    out = pref * mono * np.exp(-rho) * laguerre(n, d, 2.0 * rho)
-    return out if out.ndim else complex(out)
+    q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
+    out = np.empty((1,) + q.shape, dtype=complex)
+    _moyal_table([(0, n, n_prime)], q, p, out)
+    return out[0] if q.ndim else complex(out[0])
 
 
 def wigner_complex_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarray:
@@ -91,34 +117,28 @@ def wigner_complex_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarra
     For Hermitian densities the result is real up to roundoff; general
     pushed operators legitimately produce complex values.
     """
-    q1, p1, q2, p2 = np.broadcast_arrays(
-        np.asarray(q1, float), np.asarray(p1, float),
-        np.asarray(q2, float), np.asarray(p2, float),
-    )
-    states = fock_states(density.n)
-    elems = density.elements
-    cache1: dict[tuple[int, int], np.ndarray] = {}
-    cache2: dict[tuple[int, int], np.ndarray] = {}
-
-    def mode1(n, npr):
-        key = (n, npr)
-        if key not in cache1:
-            cache1[key] = np.asarray(moyal_1d(n, npr, q1, p1))
-        return cache1[key]
-
-    def mode2(n, npr):
-        key = (n, npr)
-        if key not in cache2:
-            cache2[key] = np.asarray(moyal_1d(n, npr, q2, p2))
-        return cache2[key]
-
-    total = np.zeros(q1.shape, dtype=complex)
-    rows, cols = np.nonzero(elems)
-    for f, g in zip(rows, cols):
-        b1, b2 = states[f]  # bra side
-        k1, k2 = states[g]  # ket side
-        total += elems[f, g] * mode1(k1, b1) * mode2(k2, b2)
-    return total
+    q1, p1, q2, p2 = np.broadcast_arrays(*(np.asarray(a, float) for a in (q1, p1, q2, p2)))
+    width = density.n + 1
+    states = np.array(fock_states(density.n))
+    rows, cols = np.nonzero(density.elements)
+    # mode -> pair -> ket * width + bra, the pair's row in that mode's table
+    codes = (states[cols] * width + states[rows]).T.tolist()
+    pairs = list(zip(density.elements[rows, cols], *codes))
+    keys = [[(c, *divmod(c, width)) for c in set(mode)] for mode in codes]
+    tables = np.empty((2 * width**2 + 2, min(q1.size, _BLOCK)), dtype=complex)
+    out = np.zeros(q1.size, dtype=complex)
+    for start in range(0, q1.size, _BLOCK):
+        s = slice(start, start + _BLOCK)
+        total = out[s]
+        table1, table2, (half, term) = np.split(tables[:, :total.size], [width**2, 2 * width**2])
+        for mode_keys, q, p, table in zip(keys, (q1, q2), (p1, p2), (table1, table2)):
+            # a 0-d point keeps numpy's scalar arithmetic, as the per-pair sum had it
+            _moyal_table(mode_keys, q.flat[s] if q.ndim else q, p.flat[s] if p.ndim else p, table)
+        for e, i, j in pairs:  # half *= ... would round differently at a lone point
+            np.multiply(e, table1[i], out=half)
+            np.multiply(half, table2[j], out=term)
+            total += term
+    return out.reshape(q1.shape)
 
 
 def wigner_4d_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from scipy.special import eval_genlaguerre
 import spinwigner as sw
 from spinwigner.omega_map import OscillatorDensity, fock_index
 
+from spinwigner.moyal import _BLOCK, wigner_complex_many
+
 from helpers import (basis_vector, nonreducible_two_spin_operator, omega,
-                     oracle_wigner_integral, push_pure)
+                     oracle_wigner_integral, push_pure, reference_moyal_1d,
+                     reference_wigner_complex_many)
 
 
 def test_laguerre_hand_values():
@@ -172,3 +176,75 @@ def test_oracle_reports_non_convergence():
     with pytest.raises(sw.NumericError, match="converge"):
         oracle_wigner_integral(d, sw.PhasePoint4(0.5, 0.1, 0.0, 0.0),
                                initial_points=5, max_refinements=0)
+
+
+def _kernel_families(n):
+    coherent = sw.spin_coherent(n, 1.1, 0.4)
+    rng = np.random.default_rng(200 + n)
+    op = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    mixes = {
+        "coherent": [(1.0, coherent)],
+        "cat": [(1.0, sw.cat_state(n))],
+        "fock": [(1.0, sw.fock_state(n, n // 2))],
+        "squeezed": [(1.0, sw.squeezed_state(n, 0.2 + 0.1j, coherent))],
+        "mixture": [(0.3, coherent), (0.7, sw.cat_state(n))],
+    }
+    out = {name: sw.push_density(omega(n), sw.mixture(m)) for name, m in mixes.items()}
+    out["operator"] = sw.push_operator(omega(n), op)
+    return out
+
+
+def _kernel_points(count, rng):
+    """count points: the origin, p = 0 section points, then |q| up to 6."""
+    pts = rng.uniform(-6.0, 6.0, size=(4, count))
+    pts[:, :1] = 0.0
+    pts[1, 1:count // 4] = 0.0
+    pts[3, 1:count // 4] = 0.0
+    return pts
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_kernel_is_bit_identical_to_per_pair_sum(n):
+    rng = np.random.default_rng(n)
+    for name, d in _kernel_families(n).items():
+        for count in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+            pts = _kernel_points(count, rng)
+            got = wigner_complex_many(d, *pts)
+            assert got.shape == (count,)
+            assert np.array_equal(got, reference_wigner_complex_many(d, *pts)), (name, count)
+        # scalar-broadcast inputs, then single 0-d points
+        q = np.linspace(-6.0, 6.0, _BLOCK + 3)
+        for args in [(q, 0.0, q[::-1], 0.0), (0.3, q, -1.2, 0.0), (q.reshape(-1, 1), q[:5], 0.5, 0.25),
+                     (0.0, 0.0, 0.0, 0.0), *rng.uniform(-4.0, 4.0, size=(5, 4))]:
+            got = wigner_complex_many(d, *args)
+            expect = reference_wigner_complex_many(d, *args)
+            assert got.shape == expect.shape
+            assert np.array_equal(got, expect), (name, args)
+
+
+def test_moyal_1d_matches_single_entry_formula():
+    q = np.concatenate([[0.0, 0.0, 1.3], np.linspace(-6.0, 6.0, 37)])
+    p = np.concatenate([[0.0, 0.7, 0.0], np.linspace(6.0, -6.0, 37)])
+    for n in range(9):
+        for n_prime in range(9):
+            assert np.array_equal(sw.moyal_1d(n, n_prime, q, p),
+                                  reference_moyal_1d(n, n_prime, q, p))
+            assert sw.moyal_1d(n, n_prime, 0.4, -0.9) == reference_moyal_1d(n, n_prime, 0.4, -0.9)
+
+
+def test_kernel_memory_is_bounded_by_the_block():
+    # coherent n = 10: 1296 non-zero pairs over 121 keys per mode; per-key
+    # arrays over all points would hold 242 x 16 B per point (48 MB at 200k)
+    d = push_pure(10, sw.spin_coherent(10, 1.1, 0.4).amplitudes)
+    rng = np.random.default_rng(3)
+    peaks = {}
+    for count in (20_000, 200_000):
+        pts = rng.uniform(-3.0, 3.0, size=(4, count))
+        tracemalloc.start()
+        try:
+            vals = wigner_complex_many(d, *pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks[count] = peak - vals.nbytes
+    assert peaks[200_000] <= peaks[20_000] + 1e6
