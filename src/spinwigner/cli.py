@@ -33,7 +33,6 @@ import argparse
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -307,6 +306,8 @@ def _chunked(fn, total: int, threads: int) -> np.ndarray:
     if threads <= 1:
         parts = [fn(s) for s in slices]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # ~8 ms cold; most runs use one thread
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(fn, slices))
     return np.concatenate([np.atleast_1d(p) for p in parts])

@@ -15,6 +15,21 @@ def omega(n: int) -> sw.OmegaMap:
     return _OMEGA_CACHE[n]
 
 
+def state_families(n: int) -> dict[str, sw.SpinMixture]:
+    """One mixture per state family at n spins; "raw" is a seeded random pure state."""
+    coherent = sw.spin_coherent(n, 1.1, 0.4)
+    rng = np.random.default_rng(100 + n)
+    raw = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return {
+        "cat": sw.mixture([(1.0, sw.cat_state(n))]),
+        "coherent": sw.mixture([(1.0, coherent)]),
+        "fock": sw.mixture([(1.0, sw.fock_state(n, n // 2))]),
+        "squeezed": sw.mixture([(1.0, sw.squeezed_state(n, 0.2 + 0.1j, coherent))]),
+        "mixture": sw.mixture([(0.3, coherent), (0.7, sw.cat_state(n))]),
+        "raw": sw.mixture([(1.0, sw.SpinState(n, raw / np.linalg.norm(raw)))]),
+    }
+
+
 def basis_vector(n: int, index: int) -> np.ndarray:
     v = np.zeros(2**n, dtype=complex)
     v[index] = 1.0

@@ -14,7 +14,7 @@ from spinwigner.moyal import _BLOCK, wigner_complex_many
 
 from helpers import (basis_vector, nonreducible_two_spin_operator, omega,
                      oracle_wigner_integral, push_pure, reference_moyal_1d,
-                     reference_wigner_complex_many)
+                     reference_wigner_complex_many, state_families)
 
 
 def test_laguerre_hand_values():
@@ -179,17 +179,9 @@ def test_oracle_reports_non_convergence():
 
 
 def _kernel_families(n):
-    coherent = sw.spin_coherent(n, 1.1, 0.4)
     rng = np.random.default_rng(200 + n)
     op = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-    mixes = {
-        "coherent": [(1.0, coherent)],
-        "cat": [(1.0, sw.cat_state(n))],
-        "fock": [(1.0, sw.fock_state(n, n // 2))],
-        "squeezed": [(1.0, sw.squeezed_state(n, 0.2 + 0.1j, coherent))],
-        "mixture": [(0.3, coherent), (0.7, sw.cat_state(n))],
-    }
-    out = {name: sw.push_density(omega(n), sw.mixture(m)) for name, m in mixes.items()}
+    out = {name: sw.push_density(omega(n), m) for name, m in state_families(n).items()}
     out["operator"] = sw.push_operator(omega(n), op)
     return out
 
@@ -214,7 +206,8 @@ def test_block_kernel_is_bit_identical_to_per_pair_sum(n):
             assert np.array_equal(got, reference_wigner_complex_many(d, *pts)), (name, count)
         # scalar-broadcast inputs, then single 0-d points
         q = np.linspace(-6.0, 6.0, _BLOCK + 3)
-        for args in [(q, 0.0, q[::-1], 0.0), (0.3, q, -1.2, 0.0), (q.reshape(-1, 1), q[:5], 0.5, 0.25),
+        for args in [(q, 0.0, q[::-1], 0.0), (0.3, q, -1.2, 0.0),
+                     (q.reshape(-1, 1), q[:5], 0.5, 0.25),
                      (0.0, 0.0, 0.0, 0.0), *rng.uniform(-4.0, 4.0, size=(5, 4))]:
             got = wigner_complex_many(d, *args)
             expect = reference_wigner_complex_many(d, *args)
@@ -234,7 +227,7 @@ def test_moyal_1d_matches_single_entry_formula():
 
 def test_kernel_memory_is_bounded_by_the_block():
     # coherent n = 10: 1296 non-zero pairs over 121 keys per mode; per-key
-    # arrays over all points would hold 242 x 16 B per point (48 MB at 200k)
+    # arrays over all points would hold 242 x 16 B per point (774 MB at 200k)
     d = push_pure(10, sw.spin_coherent(10, 1.1, 0.4).amplitudes)
     rng = np.random.default_rng(3)
     peaks = {}

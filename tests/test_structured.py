@@ -14,7 +14,7 @@ import pytest
 
 import spinwigner as sw
 
-from helpers import omega
+from helpers import omega, state_families
 
 
 def _swap_s2(n):
@@ -29,26 +29,12 @@ def _swap_s2(n):
     return s2
 
 
-def _families(n):
-    coherent = sw.spin_coherent(n, 1.1, 0.4)
-    rng = np.random.default_rng(100 + n)
-    raw = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return {
-        "cat": sw.mixture([(1.0, sw.cat_state(n))]),
-        "coherent": sw.mixture([(1.0, coherent)]),
-        "fock": sw.mixture([(1.0, sw.fock_state(n, n // 2))]),
-        "squeezed": sw.mixture([(1.0, sw.squeezed_state(n, 0.2 + 0.1j, coherent))]),
-        "mixture": sw.mixture([(0.3, coherent), (0.7, sw.cat_state(n))]),
-        "raw": sw.mixture([(1.0, sw.SpinState(n, raw / np.linalg.norm(raw)))]),
-    }
-
-
 @pytest.mark.parametrize("n", range(1, 11))
 def test_structured_push_matches_dense_reference(n):
     s2 = _swap_s2(n)
     assert np.array_equal(s2, sw.total_spin_squared(n).matrix)
     c = omega(n).coefficients
-    for name, mix in _families(n).items():
+    for name, mix in state_families(n).items():
         rho = np.asarray(mix)
         elements = c @ rho @ c.conj().T
         residual = float(np.max(np.abs(rho @ s2 - s2 @ rho)))
