@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 import spinwigner as sw
-from spinwigner.omega_map import OscillatorDensity, fock_index
-
 from spinwigner.moyal import _BLOCK, wigner_complex_many
+from spinwigner.omega_map import OscillatorDensity, fock_index
 
 from helpers import (basis_vector, nonreducible_two_spin_operator, omega,
                      oracle_wigner_integral, push_pure, reference_moyal_1d,
