@@ -24,6 +24,12 @@ the state, grid and library version; they contain no timing information,
 are byte-identical across repeated runs, and are written only once the
 evaluation and the normalization have succeeded.
 
+Every number read from a state file, ``--grid``, ``--fix`` or
+``--tolerance`` must be finite; integer fields (``spins``,
+``excitations``, sample counts) must be exact integers, tolerances must
+be non-negative, and ``spins`` must lie in 1..12, checked before anything
+of size 2^n is built. ``--threads`` is accepted and ignored.
+
 Exit codes: 0 ok, 1 validation failure, 2 numeric failure, 3 capacity.
 """
 
@@ -42,7 +48,7 @@ from .errors import CapacityError, NumericError, SpinWignerError, ValidationErro
 from .moyal import wigner_complex_many
 from .omega_map import OscillatorDensity, construct_omega, push_density, push_operator
 from .reduced_space import check_fiber_invariance, reduced_wigner_many
-from .spin_core import decompose_angular_basis
+from .spin_core import _check_capacity, decompose_angular_basis
 from .sphere import LmDensity, SphPoint, sphere_normalization, ws_analytic, ws_numeric_many
 from .states import StateSpec, realize_operator
 
@@ -55,6 +61,15 @@ _AXIS_NAMES = {
     "sphere": ("theta", "phi"),
 }
 _PLANE_AXES = ("q1", "p1", "q2", "p2")
+
+# Kinds that may appear both as a whole state and as a mixture component,
+# with their parameters: one line each at top level, positional in a
+# ``component`` line.
+_KIND_PARAMS = {
+    "fock": (("excitations", int),),
+    "coherent": (("theta", float), ("phi", float)),
+    "cat": (),
+}
 
 
 @dataclass(frozen=True)
@@ -114,22 +129,39 @@ class EvalReport:
             yield f"note={note}"
 
 
+def _number(text: str, where: str, cast=float, lo: float | None = None):
+    """Read one finite number, naming ``where`` when it is not one.
+
+    ``cast=int`` also requires an exact integer; ``lo`` is an inclusive
+    lower bound.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"{where}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: {text!r} is not finite")
+    if cast is int:
+        if not value.is_integer():
+            raise ValidationError(f"{where}: {text!r} is not an integer")
+        value = int(value)
+    if lo is not None and value < lo:
+        raise ValidationError(f"{where}: {text!r} is below {lo}")
+    return value
+
+
 def parse_grid(kind: str, text: str, fixed_text: str | None = None) -> GridSpec:
     axes = []
     for part in text.split(","):
         pieces = part.strip().split(":")
         if len(pieces) != 4:
             raise ValidationError(f"grid axis {part!r} is not name:lo:hi:samples")
-        name, lo_s, hi_s, n_s = pieces
-        try:
-            lo, hi, samples = float(lo_s), float(hi_s), int(n_s)
-        except ValueError as exc:
-            raise ValidationError(f"grid axis {part!r}: {exc}") from exc
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-            raise ValidationError(f"grid axis {name!r} needs finite bounds with lo < hi")
-        if samples < 2:
-            raise ValidationError(f"grid axis {name!r} needs at least 2 samples")
-        axes.append(GridAxis(name.strip(), lo, hi, samples))
+        name = pieces[0].strip()
+        lo, hi = (_number(v, f"grid axis {name!r} bound") for v in pieces[1:3])
+        if lo >= hi:
+            raise ValidationError(f"grid axis {name!r} needs lo < hi")
+        samples = _number(pieces[3], f"grid axis {name!r} samples", int, lo=2)
+        axes.append(GridAxis(name, lo, hi, samples))
 
     names = tuple(a.name for a in axes)
     fixed: tuple[tuple[str, float], ...] = ()
@@ -152,10 +184,7 @@ def parse_grid(kind: str, text: str, fixed_text: str | None = None) -> GridSpec:
                 key = key.strip()
                 if key not in remaining:
                     raise ValidationError(f"--fix names {key!r}, which is not a free coordinate")
-                try:
-                    remaining[key] = float(val)
-                except ValueError as exc:
-                    raise ValidationError(f"--fix value for {key!r}: {exc}") from exc
+                remaining[key] = _number(val, f"--fix {key}")
         fixed = tuple(sorted(remaining.items()))
     else:
         raise ValidationError(f"unknown grid kind {kind!r}")
@@ -168,117 +197,78 @@ def parse_grid(kind: str, text: str, fixed_text: str | None = None) -> GridSpec:
     return spec
 
 
-def _parse_complex_pair(re_s: str, im_s: str, where: str) -> complex:
-    try:
-        return complex(float(re_s), float(im_s))
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+def _amplitudes(pairs: list, n: int, where: str) -> tuple[complex, ...]:
+    """Read the 2^n complex values of a raw state or operator row from
+    (re, im) text pairs."""
+    if len(pairs) != 2**n:
+        raise ValidationError(f"{where} needs {2**n} re,im pairs, got {len(pairs)}")
+    return tuple(complex(_number(re, where), _number(im, where)) for re, im in pairs)
 
 
-def _parse_component(tokens: list[str], n: int, where: str) -> tuple[float, StateSpec]:
-    if len(tokens) < 2:
-        raise ValidationError(f"{where}: need weight and kind")
-    try:
-        weight = float(tokens[0])
-    except ValueError as exc:
-        raise ValidationError(f"{where}: weight {tokens[0]!r}: {exc}") from exc
-    kind, rest = tokens[1], tokens[2:]
-    if kind == "fock":
-        if len(rest) != 1:
-            raise ValidationError(f"{where}: fock takes one excitation count")
-        return weight, StateSpec("fock", n, excitations=int(rest[0]))
-    if kind == "coherent":
-        if len(rest) != 2:
-            raise ValidationError(f"{where}: coherent takes theta and phi")
-        return weight, StateSpec("coherent", n, theta=float(rest[0]), phi=float(rest[1]))
-    if kind == "cat":
-        if rest:
-            raise ValidationError(f"{where}: cat takes no parameters")
-        return weight, StateSpec("cat", n)
-    if kind == "raw":
-        amps = []
-        for tok in rest:
-            re_s, _, im_s = tok.partition(",")
-            amps.append(_parse_complex_pair(re_s, im_s, where))
-        return weight, StateSpec("raw", n, amplitudes=tuple(amps))
-    raise ValidationError(f"{where}: unsupported component kind {kind!r}")
+def _split_pairs(tokens: list[str]) -> list[tuple[str, str]]:
+    return [tuple(tok.partition(",")[::2]) for tok in tokens]
 
 
 def parse_state_text(text: str) -> StateSpec:
     """Parse the line-oriented state description format."""
     entries: list[tuple[str, list[str]]] = []
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
+    for rawline in text.splitlines():
         line = rawline.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        entries.append((tokens[0], tokens[1:]))
+        if line and not line.startswith("#"):
+            key, *vals = line.split()
+            entries.append((key, vals))
+    lines = {key: vals for key, vals in entries if key not in ("amp", "row", "component")}
 
-    scalars = {key: vals for key, vals in entries if key not in ("amp", "row", "component")}
-    if "kind" not in scalars or "spins" not in scalars:
-        raise ValidationError("state file needs 'kind' and 'spins' lines")
-    kind = scalars["kind"][0]
-    try:
-        n = int(scalars["spins"][0])
-    except ValueError as exc:
-        raise ValidationError(f"spins: {exc}") from exc
+    def field(key: str, count: int = 1) -> list[str]:
+        if key not in lines:
+            raise ValidationError(f"state file needs a '{key}' line")
+        if len(lines[key]) != count:
+            raise ValidationError(f"'{key}' takes {count} value(s), got {len(lines[key])}")
+        return lines[key]
 
-    def scalar(key: str, default: float | None = None) -> float | None:
-        if key not in scalars:
-            return default
-        try:
-            return float(scalars[key][0])
-        except ValueError as exc:
-            raise ValidationError(f"{key}: {exc}") from exc
+    kind = field("kind")[0]
+    n = _number(field("spins")[0], "spins", int, lo=1)
+    _check_capacity(n, None)  # before anything of size 2^n is built
 
-    if kind == "fock":
-        k = scalar("excitations")
-        if k is None:
-            raise ValidationError("fock state needs an 'excitations' line")
-        return StateSpec("fock", n, excitations=int(k))
-    if kind == "coherent":
-        theta, phi = scalar("theta"), scalar("phi")
-        if theta is None or phi is None:
-            raise ValidationError("coherent state needs 'theta' and 'phi' lines")
-        return StateSpec("coherent", n, theta=theta, phi=phi)
-    if kind == "cat":
-        return StateSpec("cat", n)
+    def spec(kind: str, texts: list, prefix: str = "") -> StateSpec:
+        """A state of a kind in the table from its parameter texts, or a
+        raw state from its (re, im) pairs."""
+        if kind == "raw":
+            return StateSpec("raw", n, amplitudes=_amplitudes(texts, n, f"{prefix}raw state"))
+        return StateSpec(kind, n, **{name: _number(text, prefix + name, cast)
+                                     for (name, cast), text in zip(_KIND_PARAMS[kind], texts)})
+
+    if kind in _KIND_PARAMS:
+        return spec(kind, [field(name)[0] for name, _ in _KIND_PARAMS[kind]])
+    if kind == "raw":
+        amps = [vals for key, vals in entries if key == "amp"]
+        if any(len(vals) != 2 for vals in amps):
+            raise ValidationError("each 'amp' line needs re and im")
+        return spec("raw", amps)
     if kind == "squeezed":
-        if "beta" not in scalars or len(scalars["beta"]) != 2:
-            raise ValidationError("squeezed state needs 'beta re im'")
-        beta = _parse_complex_pair(scalars["beta"][0], scalars["beta"][1], "beta")
-        return StateSpec("squeezed", n, beta=beta,
-                         base_theta=scalar("base_theta", 0.0),
-                         base_phi=scalar("base_phi", 0.0))
+        beta = complex(*(_number(v, "beta") for v in field("beta", 2)))
+        return StateSpec("squeezed", n, beta=beta, **{
+            key: _number(field(key)[0], key) for key in ("base_theta", "base_phi") if key in lines})
     if kind == "mixture":
-        comps = [_parse_component(vals, n, f"component {i + 1}")
-                 for i, (key, vals) in enumerate(entries) if key == "component"]
+        comps = []
+        for i, vals in enumerate((vals for key, vals in entries if key == "component"), 1):
+            where = f"component {i}"
+            if len(vals) < 2 or vals[1] not in (*_KIND_PARAMS, "raw"):
+                raise ValidationError(f"{where}: needs a weight and one of the kinds "
+                                      f"{', '.join(_KIND_PARAMS)}, raw")
+            ckind, rest = vals[1], vals[2:]
+            if ckind == "raw":
+                rest = _split_pairs(rest)
+            elif len(rest) != len(_KIND_PARAMS[ckind]):
+                raise ValidationError(f"{where}: {ckind} takes {len(_KIND_PARAMS[ckind])} "
+                                      f"parameters, got {len(rest)}")
+            comps.append((_number(vals[0], f"{where} weight"), spec(ckind, rest, f"{where} ")))
         if not comps:
             raise ValidationError("mixture needs 'component' lines")
         return StateSpec("mixture", n, components=tuple(comps))
-    if kind == "raw":
-        amps = []
-        for key, vals in entries:
-            if key != "amp":
-                continue
-            if len(vals) != 2:
-                raise ValidationError("each 'amp' line needs re and im")
-            amps.append(_parse_complex_pair(vals[0], vals[1], "amp"))
-        if len(amps) != 2**n:
-            raise ValidationError(f"raw state needs {2**n} 'amp' lines, got {len(amps)}")
-        return StateSpec("raw", n, amplitudes=tuple(amps))
     if kind == "operator":
-        rows = []
-        for key, vals in entries:
-            if key != "row":
-                continue
-            row = []
-            for tok in vals:
-                re_s, _, im_s = tok.partition(",")
-                row.append(_parse_complex_pair(re_s, im_s, "row"))
-            if len(row) != 2**n:
-                raise ValidationError(f"each 'row' needs {2**n} re,im pairs, got {len(row)}")
-            rows.append(tuple(row))
+        rows = [_amplitudes(_split_pairs(vals), n, f"row {i}")
+                for i, vals in enumerate((vals for key, vals in entries if key == "row"), 1)]
         if len(rows) != 2**n:
             raise ValidationError(f"operator needs {2**n} 'row' lines, got {len(rows)}")
         return StateSpec("operator", n, matrix=tuple(rows))
@@ -299,18 +289,11 @@ def _push_spec(spec: StateSpec) -> tuple[OscillatorDensity, float]:
     return push_density(omega, op), op.trace
 
 
-def _chunked(fn, total: int, threads: int) -> np.ndarray:
-    """Evaluate fn over index slices; chunking is fixed so results do not
-    depend on the thread count."""
-    slices = [slice(i, min(i + _CHUNK, total)) for i in range(0, total, _CHUNK)]
-    if threads <= 1:
-        parts = [fn(s) for s in slices]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # ~8 ms cold; most runs use one thread
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, slices))
-    return np.concatenate([np.atleast_1d(p) for p in parts])
+def _chunked(fn, total: int) -> np.ndarray:
+    """Evaluate fn over slices of ``_CHUNK`` points, so working memory does
+    not grow with the grid."""
+    return np.concatenate([np.atleast_1d(fn(slice(i, min(i + _CHUNK, total))))
+                           for i in range(0, total, _CHUNK)])
 
 
 def _write_grid(path: str, header: list[str], grid: GridSpec, names: list[str],
@@ -374,8 +357,7 @@ def _evaluate_grid(spec: StateSpec, grid: GridSpec, out_path: str, evaluate,
                       norm, elapsed, notes=tuple(notes))
 
 
-def cmd_eval_volume(spec: StateSpec, grid: GridSpec, out_path: str,
-                    threads: int = 1) -> EvalReport:
+def cmd_eval_volume(spec: StateSpec, grid: GridSpec, out_path: str) -> EvalReport:
     """Evaluate the reduced function on a volume grid and write it out."""
 
     def evaluate(density, x1, x2, x3, notes):
@@ -386,13 +368,13 @@ def cmd_eval_volume(spec: StateSpec, grid: GridSpec, out_path: str,
                 "Evaluate a plane4d slice instead."
             )
         return ["value"], [_chunked(
-            lambda s: reduced_wigner_many(density, x1[s], x2[s], x3[s]), x1.size, threads)]
+            lambda s: reduced_wigner_many(density, x1[s], x2[s], x3[s]), x1.size)]
 
     return _evaluate_grid(spec, grid, out_path, evaluate)
 
 
 def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
-                    method: str = "numeric", threads: int = 1) -> EvalReport:
+                    method: str = "numeric") -> EvalReport:
     """Evaluate the spherical function on an angular grid and write it out."""
     if method not in ("analytic", "numeric", "both"):
         raise ValidationError(f"method must be analytic, numeric or both, got {method!r}")
@@ -416,7 +398,7 @@ def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
         if method != "analytic" or analytic is None:
             numeric = _chunked(
                 lambda s: ws_numeric_many(density, theta[s], phi[s], force_section=force),
-                theta.size, threads)
+                theta.size)
         if analytic is not None and numeric is not None:
             return (["value", "value_numeric", "abs_diff"],
                     [analytic, numeric, np.abs(analytic - numeric)])
@@ -425,8 +407,7 @@ def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
     return _evaluate_grid(spec, grid, out_path, evaluate, (f"method: {method}",))
 
 
-def cmd_eval_plane4d(spec: StateSpec, grid: GridSpec, out_path: str,
-                     threads: int = 1) -> EvalReport:
+def cmd_eval_plane4d(spec: StateSpec, grid: GridSpec, out_path: str) -> EvalReport:
     """Evaluate a two-coordinate slice of the four-dimensional function.
 
     This is the escape hatch for operators that cannot be reduced to three
@@ -440,7 +421,7 @@ def cmd_eval_plane4d(spec: StateSpec, grid: GridSpec, out_path: str,
         vals = _chunked(
             lambda s: wigner_complex_many(density, coords["q1"][s], coords["p1"][s],
                                           coords["q2"][s], coords["p2"][s]),
-            ga.size, threads)
+            ga.size)
         return ["value_re", "value_im"], [vals.real, vals.imag]
 
     return _evaluate_grid(spec, grid, out_path, evaluate)
@@ -495,10 +476,7 @@ def _parse_tolerances(text: str | None) -> dict[str, float]:
             raise ValidationError(
                 f"unknown tolerance {key!r}; known: {', '.join(sorted(_DEFAULT_TOLERANCES))}"
             )
-        try:
-            out[key] = float(val)
-        except ValueError as exc:
-            raise ValidationError(f"tolerance {key!r}: {exc}") from exc
+        out[key] = _number(val, f"tolerance {key}", lo=0.0)
     return out
 
 
@@ -514,7 +492,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_grid:
             p.add_argument("--grid", required=True, help="axis spec name:lo:hi:samples,...")
             p.add_argument("--out", required=True, help="output CSV path")
-            p.add_argument("--threads", type=int, default=1, help="evaluation threads")
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted and ignored; removed in the next version")
         p.add_argument("--tolerance", default=None,
                        help="override tolerances, e.g. norm=1e-8,fiber=1e-6,trace=1e-9")
 
@@ -538,10 +517,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        tolerances = _parse_tolerances(args.tolerance)
         spec = load_state_spec(args.state)
         if args.command == "check":
-            report, ok = cmd_check(spec, _parse_tolerances(args.tolerance),
-                                   samples=args.samples)
+            report, ok = cmd_check(spec, tolerances, samples=args.samples)
             for line in report.lines():
                 print(line)
             print(f"status={'ok' if ok else 'fail'}")
@@ -549,27 +528,17 @@ def main(argv: list[str] | None = None) -> int:
         grid = parse_grid(args.command, args.grid,
                           getattr(args, "fix", None))
         if args.command == "volume":
-            report = cmd_eval_volume(spec, grid, args.out, threads=args.threads)
+            report = cmd_eval_volume(spec, grid, args.out)
         elif args.command == "sphere":
-            report = cmd_eval_sphere(spec, grid, args.out, method=args.method,
-                                     threads=args.threads)
+            report = cmd_eval_sphere(spec, grid, args.out, method=args.method)
         else:
-            report = cmd_eval_plane4d(spec, grid, args.out, threads=args.threads)
+            report = cmd_eval_plane4d(spec, grid, args.out)
         for line in report.lines():
             print(line)
         return 0
-    except CapacityError as exc:
+    except (SpinWignerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SpinWignerError as exc:  # pragma: no cover
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, CapacityError) else 2 if isinstance(exc, NumericError) else 1
 
 
 if __name__ == "__main__":

@@ -262,7 +262,7 @@ def push_density(omega: OmegaMap, rho: np.ndarray | SpinMixture) -> OscillatorDe
         if rho.n != omega.n:
             raise ValidationError(f"mixture acts on {rho.n} spins, the map on {omega.n}")
         tr = rho.trace
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if not abs(tr - 1.0) <= _TRACE_TOL:
             raise ValidationError(f"density trace {tr!r} is not 1 within {_TRACE_TOL}")
         psi, w = rho.amplitudes, rho.weights
         residual = _commutator_residual(psi * w, _apply_s2(psi))
@@ -272,13 +272,15 @@ def push_density(omega: OmegaMap, rho: np.ndarray | SpinMixture) -> OscillatorDe
     dim = 2**omega.n
     if rho.shape != (dim, dim):
         raise ValidationError(f"density shape {rho.shape}, expected ({dim}, {dim})")
+    # Each test is written so that NaN fails it; a non-finite entry makes
+    # the Hermiticity deviation NaN.
     herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > _HERM_TOL:
+    if not herm <= _HERM_TOL:
         raise ValidationError(f"density is not Hermitian (max deviation {herm:.3e})")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > _TRACE_TOL:
+    if not abs(tr - 1.0) <= _TRACE_TOL:
         raise ValidationError(f"density trace {tr!r} is not 1 within {_TRACE_TOL}")
     lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-    if lowest < -_PSD_TOL:
+    if not lowest >= -_PSD_TOL:
         raise ValidationError(f"density has negative eigenvalue {lowest:.3e}")
     return _push_dense(omega, rho)

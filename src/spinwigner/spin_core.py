@@ -66,7 +66,7 @@ class SpinState:
                 f"amplitude vector has shape {amps.shape}, expected ({2**self.n},)"
             )
         nrm2 = float(np.vdot(amps, amps).real)
-        if abs(nrm2 - 1.0) > _NORM_TOL:
+        if not abs(nrm2 - 1.0) <= _NORM_TOL:  # written so that NaN fails
             raise ValidationError(f"state norm^2 = {nrm2!r} is not 1 within {_NORM_TOL}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
@@ -99,13 +99,14 @@ class SpinMixture:
             raise ValidationError(
                 f"amplitude columns have shape {amps.shape}, expected ({2**self.n}, {w.size})"
             )
-        if w.min() < -_WEIGHT_TOL:
-            raise ValidationError(f"negative mixture weight {float(w.min())!r}")
+        # Each test is written so that NaN fails it.
+        if not np.all(w >= -_WEIGHT_TOL):
+            raise ValidationError(f"mixture weights {w.tolist()!r} are not all non-negative")
         total = sum(w.tolist())
-        if abs(total - 1.0) > _WEIGHT_TOL:
+        if not abs(total - 1.0) <= _WEIGHT_TOL:
             raise ValidationError(f"mixture weights sum to {total!r}, not 1")
         nrm2 = np.sum(np.abs(amps) ** 2, axis=0)
-        if np.max(np.abs(nrm2 - 1.0)) > _NORM_TOL:
+        if not np.all(np.abs(nrm2 - 1.0) <= _NORM_TOL):
             raise ValidationError(f"component norms^2 {nrm2!r} are not 1 within {_NORM_TOL}")
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "amplitudes", _readonly(amps))

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinwigner as sw
 from spinwigner.cli import main, parse_grid, parse_state_text
@@ -233,13 +236,18 @@ def test_check_command_cat_passes(tmp_path, capsys):
     assert "commutes_with_s2=true" in report
 
 
-def test_check_command_discarded_shell_fails(tmp_path, capsys):
+def _discarded_tower_state():
+    """A raw state in a degeneracy tower the embedding drops (k = 1)."""
     basis = sw.decompose_angular_basis(3)
     lost = next(e for e in basis.entries if e.two_l == 1 and e.k == 1 and e.two_m == 1)
     lines = ["kind raw", "spins 3"]
     for a in lost.state.amplitudes:
         lines.append(f"amp {float(a.real)!r} {float(a.imag)!r}")
-    state = _state_file(tmp_path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def test_check_command_discarded_shell_fails(tmp_path, capsys):
+    state = _state_file(tmp_path, _discarded_tower_state())
     assert main(["check", "--state", state]) == 1
     report = capsys.readouterr().out
     trace_line = next(l for l in report.splitlines() if l.startswith("represented_trace="))
@@ -398,3 +406,91 @@ def test_sphere_normalization_failure_writes_no_file(tmp_path, monkeypatch, caps
     assert code == 2
     assert "on purpose" in capsys.readouterr().err
     assert not out.exists()
+
+
+VOLUME_3 = "x1:-1:1:3,x2:-1:1:3,x3:-1:1:3"
+
+
+def _mixture_text(*components):
+    return "kind mixture\nspins 3\n" + "".join(f"component {c}\n" for c in components)
+
+
+@pytest.mark.parametrize("text, command, extra, code, names", [
+    (_mixture_text("0.5 fock 2.5", "0.5 cat"), "volume", [], 1, "component 1 excitations"),
+    (_mixture_text("0.5 coherent abc 0", "0.5 cat"), "volume", [], 1, "component 1 theta"),
+    (_mixture_text("nan cat"), "volume", [], 1, "component 1 weight"),
+    (_mixture_text("0.5 cat", "0.5 fock 1 2"), "volume", [], 1, "component 2"),
+    ("kind fock\nspins 3\nexcitations 2.5\n", "volume", [], 1, "excitations"),
+    ("kind cat\nspins\n", "volume", [], 1, "spins"),
+    ("kind\nspins 3\n", "volume", [], 1, "kind"),
+    ("kind coherent\nspins 3\ntheta nan\nphi 0\n", "volume", [], 1, "theta"),
+    ("kind squeezed\nspins 3\nbeta nan 0\n", "volume", [], 1, "beta"),
+    ("kind raw\nspins 1\namp 1 0\namp 0 1e400\n", "volume", [], 1, "raw state"),
+    ("kind cat\nspins 3\n", "plane4d", ["--fix", "q2=nan"], 1, "--fix q2"),
+    ("kind cat\nspins 3\n", "volume", ["--tolerance", "norm=-1"], 1, "tolerance norm"),
+    (None, "check", ["--tolerance", "trace=nan"], 1, "tolerance trace"),
+], ids=["component-fock-2.5", "component-coherent-abc", "component-weight-nan",
+        "second-component-arity", "excitations-2.5", "spins-empty", "kind-empty", "theta-nan",
+        "beta-nan", "amp-1e400", "fix-nan", "tolerance-negative", "tolerance-trace-nan"])
+def test_malformed_input_exits_with_error_line(tmp_path, capsys, text, command, extra,
+                                               code, names):
+    # the discarded-tower state fails its trace check, so a NaN tolerance
+    # that compared as "within" would turn it into status=ok
+    state = _state_file(tmp_path, _discarded_tower_state() if text is None else text)
+    out = tmp_path / "out.csv"
+    argv = [command, "--state", state] + extra
+    if command != "check":
+        grid = VOLUME_3 if command == "volume" else "q1:-1:1:3,p1:-1:1:3"
+        argv += ["--grid", grid, "--out", str(out)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and names in captured.err
+    assert "Traceback" not in captured.err and "status=" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, code", [
+    ("kind cat\nspins 13\n", 3),
+    ("kind fock\nspins 22\nexcitations 2\n", 3),
+    ("kind cat\nspins 22\n", 3),
+    ("kind fock\nspins 40\nexcitations 1\n", 3),
+    ("kind raw\nspins 20000\namp 1 0\n", 3),
+    ("kind cat\nspins 0\n", 1),
+    ("kind cat\nspins -4\n", 1),
+], ids=["cat-13", "fock-22", "cat-22", "fock-40", "raw-20000", "zero", "negative"])
+def test_spin_count_checked_before_allocation(tmp_path, capsys, text, code):
+    state = _state_file(tmp_path, text)
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        result = main(["volume", "--state", state, "--grid", VOLUME_3, "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: spin") and "Traceback" not in err
+    assert peak < 8e6  # a 2^22 amplitude vector alone is 67 MB
+    assert not out.exists()
+
+
+_KEYS = ("kind", "spins", "excitations", "theta", "phi", "beta", "base_theta", "base_phi",
+         "amp", "row", "component", "unknown")
+_KINDS = ("fock", "coherent", "cat", "squeezed", "mixture", "raw", "operator", "nebula")
+_NUMBERS = ("nan", "inf", "-inf", "1e400", "2.5", "-1", "0", "1", "2", "2.0", "13", "3x", "")
+_TOKENS = _KINDS + _NUMBERS + ("0.5", "1,0", "0,nan", "1,", "0.7071067811865476")
+
+
+def _line(key, tokens):
+    return st.lists(st.sampled_from(tokens), max_size=4).map(lambda vals: " ".join([key, *vals]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=_line("kind", _KINDS + ("",)), spins=_line("spins", _NUMBERS),
+       rest=st.lists(st.sampled_from(_KEYS).flatmap(lambda key: _line(key, _TOKENS)), max_size=6))
+def test_parse_state_text_raises_only_documented_errors(kind, spins, rest):
+    try:
+        spec = parse_state_text("\n".join([kind, spins, *rest]))
+    except (sw.ValidationError, sw.CapacityError):
+        return
+    assert isinstance(spec, sw.StateSpec)

@@ -81,6 +81,25 @@ def test_spin_mixture_validation():
         sw.push_density(omega(3), sw.mixture([(1.0, psi)]))  # map acts on 3 spins
 
 
+
+def test_validators_refuse_non_finite_values():
+    # every check compares "not within tolerance", so NaN cannot slip through
+    cat = sw.cat_state(2).amplitudes
+    for bad in (math.nan, math.inf):
+        amps = cat.copy()
+        amps[0] = bad
+        with pytest.raises(sw.ValidationError):
+            sw.SpinState(2, amps)
+        with pytest.raises(sw.ValidationError):
+            sw.SpinMixture(2, [bad], cat[:, None])
+        with pytest.raises(sw.ValidationError):
+            sw.SpinMixture(2, [0.5, 0.5], np.column_stack([cat, amps]))
+        for i, j in ((0, 0), (0, 3)):
+            rho = np.outer(cat, cat.conj())
+            rho[i, j] = bad
+            with pytest.raises(sw.ValidationError):
+                sw.push_density(omega(2), rho)
+
 def test_cat_realize_and_push_memory():
     # realize + basis + embedding + push at n = 10 holds no 2^n x 2^n matrix;
     # one such complex array is 16.8 MB and the dense route peaked near 130 MB
