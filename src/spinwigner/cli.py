@@ -25,10 +25,11 @@ are byte-identical across repeated runs, and are written only once the
 evaluation and the normalization have succeeded.
 
 Every number read from a state file, ``--grid``, ``--fix`` or
-``--tolerance`` must be finite; integer fields (``spins``,
-``excitations``, sample counts) must be exact integers, tolerances must
-be non-negative, and ``spins`` must lie in 1..12, checked before anything
-of size 2^n is built. ``--threads`` is accepted and ignored.
+``--tolerance`` (``check`` only) must be finite; integer fields
+(``spins``, ``excitations``, sample counts) must be exact integers,
+tolerances must be non-negative, and ``spins`` must lie in 1..12, checked
+before anything of size 2^n is built; a squeezing ``beta`` that needs more
+than 1,024 Taylor steps is a capacity error.
 
 Exit codes: 0 ok, 1 validation failure, 2 numeric failure, 3 capacity.
 """
@@ -492,10 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_grid:
             p.add_argument("--grid", required=True, help="axis spec name:lo:hi:samples,...")
             p.add_argument("--out", required=True, help="output CSV path")
-            p.add_argument("--threads", type=int, default=1,
-                           help="accepted and ignored; removed in the next version")
-        p.add_argument("--tolerance", default=None,
-                       help="override tolerances, e.g. norm=1e-8,fiber=1e-6,trace=1e-9")
 
     p_vol = sub.add_parser("volume", help="reduced function on an x1,x2,x3 grid")
     add_common(p_vol)
@@ -509,6 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="values for the fixed coordinates, e.g. q2=0,p2=0")
     p_chk = sub.add_parser("check", help="normalization / invariance checks")
     add_common(p_chk, needs_grid=False)
+    p_chk.add_argument("--tolerance", default=None,
+                       help="override tolerances, e.g. norm=1e-8,fiber=1e-6,trace=1e-9")
     p_chk.add_argument("--samples", type=int, default=100,
                        help="sample count for the fiber-invariance check")
     return parser
@@ -517,14 +516,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        tolerances = _parse_tolerances(args.tolerance)
-        spec = load_state_spec(args.state)
         if args.command == "check":
-            report, ok = cmd_check(spec, tolerances, samples=args.samples)
+            tolerances = _parse_tolerances(args.tolerance)
+            report, ok = cmd_check(load_state_spec(args.state), tolerances,
+                                   samples=args.samples)
             for line in report.lines():
                 print(line)
             print(f"status={'ok' if ok else 'fail'}")
             return 0 if ok else 1
+        spec = load_state_spec(args.state)
         grid = parse_grid(args.command, args.grid,
                           getattr(args, "fix", None))
         if args.command == "volume":

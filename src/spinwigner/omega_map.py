@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .spin_core import (AngularBasis, SpinMixture, _apply_ladder, _apply_s2, _readonly,
-                        _s3_diagonal)
+                        _s3_diagonal, shell_multiplicity)
 
 _HERM_TOL = 1e-10
 _PSD_TOL = 1e-10
@@ -159,38 +159,30 @@ def construct_omega(basis: AngularBasis,
     """Build the canonical embedding from a labelled eigenbasis.
 
     By default the first degeneracy tower (k = 0) of each shell is the one
-    represented. ``shell_mixing`` optionally supplies, per doubled shell
-    label, a unitary that remixes the degenerate towers first; row 0 of the
-    unitary then defines the represented tower. The intertwining property
-    is verified before returning.
+    represented, and only that tower is built. ``shell_mixing`` optionally
+    supplies, per doubled shell label, a unitary of the shell's multiplicity
+    that remixes its towers first; row 0 of the unitary then defines the
+    represented tower, and every tower of that shell is built. The
+    intertwining property is verified before returning.
     """
     n = basis.n
     index = fock_index(n)
-    size = len(fock_states(n))
-    coeff = np.zeros((size, 2**n), dtype=complex)
+    coeff = np.zeros((len(fock_states(n)), 2**n), dtype=complex)
 
-    mixing = shell_mixing or {}
-    for two_l, u in mixing.items():
+    mixing = {}
+    for two_l, u in (shell_mixing or {}).items():
         u = np.asarray(u, dtype=complex)
-        d = u.shape[0]
-        if u.shape != (d, d) or np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-12:
-            raise ValidationError(f"shell_mixing[{two_l}] is not unitary")
+        d = shell_multiplicity(n, two_l)
+        if d == 0 or u.shape != (d, d) or np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-12:
+            raise ValidationError(f"shell_mixing[{two_l}] is not a unitary on the shell's "
+                                  f"{d} towers")
+        mixing[two_l] = u
 
-    for entry in basis.entries:
-        u = mixing.get(entry.two_l)
-        if u is None:
-            weight = 1.0 + 0.0j if entry.k == 0 else 0.0j
-        else:
-            if entry.k >= u.shape[0]:
-                raise ValidationError(
-                    f"shell_mixing[{entry.two_l}] has size {u.shape[0]}, "
-                    f"but tower index {entry.k} occurs"
-                )
-            weight = u[0, entry.k].conjugate()
-        if weight == 0.0:
-            continue
-        f = index[((entry.two_l + entry.two_m) // 2, (entry.two_l - entry.two_m) // 2)]
-        coeff[f, :] += weight * entry.state.amplitudes.conj()
+    for two_l in range(n, (n % 2) - 1, -2):
+        u = mixing.get(two_l)
+        tower = (basis.towers(two_l, 1)[0] if u is None
+                 else np.tensordot(u[0], basis.towers(two_l, len(u)), axes=1))
+        coeff[[index[(two_l - s, s)] for s in range(two_l + 1)]] = tower.conj()  # m = l - s
 
     omega = OmegaMap(n, coeff)
     residual = intertwining_residual(omega)

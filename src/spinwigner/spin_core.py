@@ -19,21 +19,21 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
 
 from .errors import CapacityError, NumericError, ValidationError
 
-#: Largest spin count accepted by default. States are handled by O(n 2^n)
-#: bit flips; what stays dense is the labelled basis (2^n vectors of length
-#: 2^n: 4^n memory, 268 MB at n = 12) and the ``operator`` kind's matrix.
+#: Largest spin count accepted by default. States, the embedding's towers
+#: and the push are handled by O(n 2^n) bit flips; what stays dense (4^n
+#: memory, 268 MB complex at n = 12) is the ``operator`` kind's matrix, the
+#: dense operator builders and a basis whose ``entries`` are read.
 DEFAULT_MAX_SPINS = 12
 
 _NORM_TOL = 1e-9
 _WEIGHT_TOL = 1e-12
-_SVD_TOL = 1e-10
 _GS_TOL = 1e-7
 
 
@@ -42,8 +42,8 @@ def _check_capacity(n: int, max_spins: int | None) -> None:
     if n < 1 or n > limit:
         raise CapacityError(
             f"spin count {n} outside supported range 1..{limit} "
-            "(raise max_spins to allow more; the labelled basis and the operator "
-            "kind take 4^n memory)"
+            "(raise max_spins to allow more; the operator kind, the dense builders "
+            "and the full labelled basis take 4^n memory)"
         )
 
 
@@ -157,10 +157,30 @@ class BasisEntry:
 
 @dataclass(frozen=True)
 class AngularBasis:
-    """Orthonormal simultaneous eigenbasis of (S^2, S_3), labelled (k, l, m)."""
+    """Orthonormal simultaneous eigenbasis of (S^2, S_3), labelled (k, l, m),
+    built on demand: ``entries`` builds and keeps every tower (4^n memory)."""
 
     n: int
-    entries: tuple[BasisEntry, ...]
+
+    def towers(self, two_l: int, count: int) -> np.ndarray:
+        """The first ``count`` towers of shell ``two_l``, shape
+        (count, two_l + 1, 2^n); row s of a tower has m = l - s."""
+        mult = shell_multiplicity(self.n, two_l)
+        if not 1 <= count <= mult:
+            raise ValidationError(
+                f"shell 2l = {two_l} of {self.n} spins has {mult} towers, {count} requested")
+        return _shell_towers(self.n, two_l, count)
+
+    @cached_property
+    def entries(self) -> tuple[BasisEntry, ...]:
+        """Every labelled vector, shells by descending l, then k, then m."""
+        out = []
+        for two_l in range(self.n, (self.n % 2) - 1, -2):
+            for k, tower in enumerate(self.towers(two_l, shell_multiplicity(self.n, two_l))):
+                out.extend(BasisEntry(k, two_l, two_l - 2 * step,
+                                      SpinState(self.n, v.astype(complex)))
+                           for step, v in enumerate(tower))
+        return tuple(out)
 
     def matrix(self) -> np.ndarray:
         """Columns are the basis vectors, in entry order."""
@@ -264,92 +284,53 @@ def ladder(n: int, direction: str, *, max_spins: int | None = None) -> SpinOpera
     raise ValidationError(f'direction must be "raise" or "lower", got {direction!r}')
 
 
-def _lex_order(indices: np.ndarray) -> np.ndarray:
-    """Sector indices in lexicographic (up-before-down) order."""
-    return np.sort(indices)[::-1]
+def _shell_towers(n: int, two_l: int, count: int) -> np.ndarray:
+    """Read-only real (count, two_l + 1, 2^n) array of a shell's first towers.
 
-
-def _highest_weight_vectors(n: int, sector: np.ndarray, upper: np.ndarray,
-                            expected: int) -> np.ndarray:
-    """Orthonormal kernel of S_+ restricted to one S_3 sector.
-
-    Returns the kernel vectors as the columns of a (2^n, expected) array.
-    The S_+ block from ``sector`` to ``upper`` is read off the bit structure.
-    The kernel is canonicalized by Gram-Schmidt over its projector columns,
-    swept in lexicographic order, so the result depends only on the subspace;
-    each vector's first non-negligible amplitude (lex order) is then made
-    positive.
+    In the S_3 = l sector only shells l' >= l occur, so the highest weights
+    span the image of P_l = prod_{l' > l} (S^2 - l'(l'+1)) / (l(l+1) - l'(l'+1)).
+    Gram-Schmidt over P_l e_j, one sector index j at a time in lexicographic
+    order, makes them depend only on the subspace and not on ``count``; each
+    gets its lex-first non-negligible amplitude positive, and S_- then fills
+    each tower downward (row s has m = l - s).
     """
-    order = _lex_order(sector)
-    if upper.size == 0:
-        kernel = np.eye(len(order))
-    else:
-        # one entry 1 per (sector index, clear bit): S_+ sets that bit
-        bits = 1 << np.arange(n)[:, None]
-        clear = (order & bits) == 0
-        cols = np.broadcast_to(np.arange(len(order)), clear.shape)[clear]
-        block = np.zeros((len(upper), len(order)))
-        block[np.searchsorted(upper, (order | bits)[clear]), cols] = 1.0
-        _, s, vh = np.linalg.svd(block)
-        rank = len(order) - expected
-        small = s[rank:] if rank < len(s) else np.array([])
-        if (rank > 0 and len(s) >= rank and s[rank - 1] < 1e-6) or np.any(small > _SVD_TOL):
-            raise NumericError(
-                f"ladder kernel extraction did not separate: singular values {s!r}, "
-                f"expected kernel dimension {expected}"
-            )
-        kernel = vh[rank:, :].T  # len(order) x expected, in lex coordinates
-    proj = kernel @ kernel.T
-
-    q = np.zeros((len(order), expected))
+    dim = 2**n
+    casimir = [t * (t + 2) / 4.0 for t in range(two_l, n + 1, 2)]
+    sector = np.flatnonzero(_s3_diagonal(n) == two_l / 2.0)[::-1]  # lex order
+    top = np.zeros((count, dim))
     found = 0
-    for col in range(len(order)):
-        w = proj[:, col].copy()
+    for j in sector:
+        w = np.zeros(dim)
+        w[j] = 1.0
+        for c in casimir[1:]:
+            w = (_apply_s2(w) - c * w) / (casimir[0] - c)
         for _ in range(2):  # re-orthogonalize once for stability
-            w -= q[:, :found] @ (q[:, :found].T @ w)
+            w -= top[:found].T @ (top[:found] @ w)
         nrm = np.linalg.norm(w)
         if nrm > _GS_TOL:
-            q[:, found] = w / nrm
+            top[found] = w / nrm
             found += 1
-            if found == expected:
+            if found == count:
                 break
-    if found != expected:
-        raise NumericError(f"Gram-Schmidt recovered {found} of {expected} kernel vectors")
+    if found != count:
+        raise NumericError(f"Gram-Schmidt recovered {found} of {count} highest weights")
 
-    lead = np.argmax(np.abs(q) > 1e-12, axis=0)
-    q *= np.sign(q[lead, np.arange(expected)])
-    tower = np.zeros((2**n, expected))
-    tower[order] = q
-    return tower
+    lead = dim - 1 - np.argmax(np.abs(top[:, ::-1]) > 1e-12, axis=1)
+    top *= np.sign(top[np.arange(count), lead])[:, None]
+    towers = np.empty((count, two_l + 1, dim))
+    towers[:, 0] = top
+    for step in range(1, two_l + 1):
+        # contiguous rows: each norm is reduced the same way whatever ``count`` is
+        w = np.ascontiguousarray(_apply_ladder(towers[:, step - 1].T, False).T)
+        towers[:, step] = w / np.linalg.norm(w, axis=1, keepdims=True)
+    return _readonly(towers)
 
 
 def decompose_angular_basis(n: int, *, max_spins: int | None = None) -> AngularBasis:
-    """Build the full (k, l, m) eigenbasis by ladder descent.
+    """The (k, l, m) eigenbasis of n spins after a capacity check.
 
-    Highest-weight vectors (the kernel of S_+ in each S_3 sector) are
-    canonically orthonormalized and phase-fixed; all towers of a shell are
-    then filled downward together by applying S_- and normalizing. The
-    construction is deterministic: repeated calls return bit-identical
-    vectors.
+    No tower is built here: ``AngularBasis.towers`` builds the ones a caller
+    asks for. Repeated builds return bit-identical vectors.
     """
     _check_capacity(n, max_spins)
-    dim = 2**n
-    popcount = np.array([bin(i).count("1") for i in range(dim)])
-    sectors = {two_m: np.where(popcount == (two_m + n) // 2)[0]
-               for two_m in range(n, -(n % 2) - 1, -2)}
-
-    entries: list[BasisEntry] = []
-    for two_l in range(n, (n % 2) - 1, -2):
-        expected = shell_multiplicity(n, two_l)
-        upper = sectors.get(two_l + 2, np.array([], dtype=int))
-        levels = [_highest_weight_vectors(n, sectors[two_l], upper, expected)]
-        for _ in range(two_l):
-            w = _apply_ladder(levels[-1], False)
-            levels.append(w / np.linalg.norm(w, axis=0))
-        rows = [level.T.astype(complex) for level in levels]  # row k: tower k
-        for k in range(expected):
-            for step, level in enumerate(rows):
-                entries.append(BasisEntry(k, two_l, two_l - 2 * step, SpinState(n, level[k])))
-    if len(entries) != dim:
-        raise NumericError(f"basis has {len(entries)} entries, expected {dim}")
-    return AngularBasis(n, tuple(entries))
+    return AngularBasis(n)

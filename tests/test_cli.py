@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -285,16 +286,26 @@ def test_outputs_are_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_threads_do_not_change_output(tmp_path):
+@pytest.mark.parametrize("option", [["--threads", "2"], ["--tolerance", "norm=1e-15"]],
+                         ids=["threads", "tolerance"])
+def test_removed_grid_options_are_usage_errors(tmp_path, option):
     state = _state_file(tmp_path, FOCK5_2)
-    outs = []
-    for tag, threads in (("one", "1"), ("two", "3")):
-        out = str(tmp_path / f"vol_{tag}.csv")
-        assert main(["volume", "--state", state, "--grid",
-                     "x1:-3:3:5,x2:-3:3:5,x3:-3:3:5", "--out", out,
-                     "--threads", threads]) == 0
-        outs.append(open(out, "rb").read())
-    assert outs[0] == outs[1]
+    out = tmp_path / "vol.csv"
+    with pytest.raises(SystemExit):
+        main(["volume", "--state", state, "--grid", "x1:-3:3:5,x2:-3:3:5,x3:-3:3:5",
+              "--out", str(out), *option])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", ["1e6", "1e308"])
+def test_huge_squeezing_refused_quickly(tmp_path, capsys, beta):
+    state = _state_file(tmp_path, f"kind squeezed\nspins 5\nbeta {beta} 0\n")
+    started = time.perf_counter()
+    assert main(["check", "--state", state]) == 3
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Taylor steps" in err and "1024" in err
+    assert "Traceback" not in err
 
 
 def test_missing_state_file_exit_code(tmp_path, capsys):
@@ -427,7 +438,7 @@ def _mixture_text(*components):
     ("kind squeezed\nspins 3\nbeta nan 0\n", "volume", [], 1, "beta"),
     ("kind raw\nspins 1\namp 1 0\namp 0 1e400\n", "volume", [], 1, "raw state"),
     ("kind cat\nspins 3\n", "plane4d", ["--fix", "q2=nan"], 1, "--fix q2"),
-    ("kind cat\nspins 3\n", "volume", ["--tolerance", "norm=-1"], 1, "tolerance norm"),
+    ("kind cat\nspins 3\n", "check", ["--tolerance", "norm=-1"], 1, "tolerance norm"),
     (None, "check", ["--tolerance", "trace=nan"], 1, "tolerance trace"),
 ], ids=["component-fock-2.5", "component-coherent-abc", "component-weight-nan",
         "second-component-arity", "excitations-2.5", "spins-empty", "kind-empty", "theta-nan",

@@ -3,7 +3,6 @@ import pytest
 
 import spinwigner as sw
 from spinwigner.omega_map import OscillatorDensity, fock_index
-from spinwigner.spin_core import BasisEntry, SpinState
 
 from helpers import basis_vector, omega, push_pure, singlet_vector
 
@@ -123,14 +122,19 @@ def test_omega_norm_preserving_on_outer_shell():
                 assert abs(np.linalg.norm(img) - 1.0) <= 1e-10
 
 
+class _CorruptedBasis(sw.AngularBasis):
+    """Negates the l = 1, m = 0 row of shell 2l = 2."""
+
+    def towers(self, two_l, count):
+        towers = super().towers(two_l, count)
+        if two_l == 2:
+            towers = towers.copy()
+            towers[:, 1] *= -1.0
+        return towers
+
+
 def test_construct_omega_rejects_corrupted_basis():
-    basis = sw.decompose_angular_basis(2)
-    entries = list(basis.entries)
-    for i, e in enumerate(entries):
-        if e.two_l == 2 and e.two_m == 0:
-            flipped = SpinState(2, -e.state.amplitudes)
-            entries[i] = BasisEntry(e.k, e.two_l, e.two_m, flipped)
-    bad = sw.AngularBasis(2, tuple(entries))
+    bad = _CorruptedBasis(2)
     with pytest.raises(sw.NumericError):
         sw.construct_omega(bad)
 
@@ -152,6 +156,14 @@ def test_shell_mixing_validation():
     basis = sw.decompose_angular_basis(3)
     with pytest.raises(sw.ValidationError):
         sw.construct_omega(basis, shell_mixing={1: np.array([[1.0, 1.0], [0.0, 1.0]])})
+
+
+def test_shell_mixing_must_match_the_shell():
+    # shell 2l = 1 of three spins has two towers; shell 2l = 5 does not exist
+    basis = sw.decompose_angular_basis(3)
+    for mixing in ({1: np.eye(3)}, {1: np.eye(1)}, {5: np.eye(1)}):
+        with pytest.raises(sw.ValidationError):
+            sw.construct_omega(basis, shell_mixing=mixing)
 
 
 def test_push_one_spin_up():
