@@ -24,12 +24,12 @@ the state, grid and library version; they contain no timing information,
 are byte-identical across repeated runs, and are written only once the
 evaluation and the normalization have succeeded.
 
-Every number read from a state file, ``--grid``, ``--fix`` or
-``--tolerance`` (``check`` only) must be finite; integer fields
-(``spins``, ``excitations``, sample counts) must be exact integers,
-tolerances must be non-negative, and ``spins`` must lie in 1..12, checked
-before anything of size 2^n is built; a squeezing ``beta`` that needs more
-than 1,024 Taylor steps is a capacity error.
+Every number read from a state file, ``--grid``, ``--fix``, ``--tolerance``
+or ``--samples`` must be finite; integer fields (``spins``, ``excitations``,
+sample counts) must be exact integers, tolerances must be non-negative, and
+``spins`` must lie in 1..12, checked before anything of size 2^n is built.
+A squeezing ``beta`` that needs over 1,024 Taylor steps, or over 1,000,000
+grid points or samples, is a capacity error. Sphere grids keep theta in [0, pi].
 
 Exit codes: 0 ok, 1 validation failure, 2 numeric failure, 3 capacity.
 """
@@ -173,6 +173,9 @@ def parse_grid(kind: str, text: str, fixed_text: str | None = None) -> GridSpec:
             )
         if fixed_text:
             raise ValidationError("--fix applies only to plane4d grids")
+        if kind == "sphere":  # every grid point lies between the theta bounds
+            for bound in (axes[0].lo, axes[0].hi):
+                SphPoint(bound, 0.0)
     elif kind == "plane4d":
         if len(names) != 2 or len(set(names)) != 2 or not set(names) <= set(_PLANE_AXES):
             raise ValidationError(
@@ -508,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_chk, needs_grid=False)
     p_chk.add_argument("--tolerance", default=None,
                        help="override tolerances, e.g. norm=1e-8,fiber=1e-6,trace=1e-9")
-    p_chk.add_argument("--samples", type=int, default=100,
+    p_chk.add_argument("--samples", default="100",
                        help="sample count for the fiber-invariance check")
     return parser
 
@@ -518,8 +521,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "check":
             tolerances = _parse_tolerances(args.tolerance)
-            report, ok = cmd_check(load_state_spec(args.state), tolerances,
-                                   samples=args.samples)
+            samples = _number(args.samples, "--samples", int, lo=1)
+            if samples > _MAX_GRID_POINTS:
+                raise CapacityError(f"--samples {samples} is above the {_MAX_GRID_POINTS} budget")
+            report, ok = cmd_check(load_state_spec(args.state), tolerances, samples=samples)
             for line in report.lines():
                 print(line)
             print(f"status={'ok' if ok else 'fail'}")

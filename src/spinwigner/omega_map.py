@@ -1,12 +1,14 @@
 """Canonical map from the N-spin space into a truncated two-mode Fock space.
 
 The truncated Fock basis enumerates pairs (n1, n2) with n1 + n2 <= cutoff,
-ordered by total excitation and then by n1, so index 0 is (0, 0). A basis
-vector |k, l, m> from the selected degeneracy tower of each shell is sent
-to |l+m, l-m>; all other towers are annihilated. The embedding intertwines
-the collective spin components with their two-mode bilinear counterparts
-and its Gram matrix is an orthogonal projector onto the represented
-subspace.
+ordered by total excitation and then by n1, so index 0 is (0, 0) and the
+rows of total T are [T(T+1)/2, (T+1)(T+2)/2). A basis vector |k, l, m> from
+the selected degeneracy tower of each shell is sent to |l+m, l-m>; all
+other towers are annihilated. The embedding intertwines the collective spin
+components with their two-mode bilinears, which keep the total: J_+ =
+a1^dag a2 is a weighted one-row shift inside each total, so the check runs
+one total at a time. The Gram matrix is an orthogonal projector onto the
+represented subspace.
 """
 
 from __future__ import annotations
@@ -37,45 +39,33 @@ def fock_states(cutoff: int) -> tuple[tuple[int, int], ...]:
     return tuple((n1, total - n1) for total in range(cutoff + 1) for n1 in range(total + 1))
 
 
-@lru_cache(maxsize=64)
-def fock_index(cutoff: int) -> dict[tuple[int, int], int]:
-    return {pair: i for i, pair in enumerate(fock_states(cutoff))}
-
-
-@lru_cache(maxsize=64)
-def _lowering(cutoff: int, mode: int) -> np.ndarray:
-    """Annihilation matrix for one mode on the truncated basis."""
-    states = fock_states(cutoff)
-    index = fock_index(cutoff)
-    size = len(states)
-    a = np.zeros((size, size), dtype=complex)
-    for i, (n1, n2) in enumerate(states):
-        occ = (n1, n2)[mode]
-        if occ > 0:
-            dst = (n1 - 1, n2) if mode == 0 else (n1, n2 - 1)
-            a[index[dst], i] = np.sqrt(occ)
-    return _readonly(a)
+def _raise_weights(cutoff: int) -> np.ndarray:
+    """sqrt(n1 (n2 + 1)) per Fock row: the J_+ element from the row before,
+    (n1 - 1, n2 + 1), to (n1, n2). It is 0 on each total's first row (n1 = 0),
+    so a one-row shift never crosses totals."""
+    n1, n2 = np.array(fock_states(cutoff)).T
+    return np.sqrt(n1 * (n2 + 1.0))
 
 
 def jordan_schwinger(fock_cutoff: int, axis: int) -> np.ndarray:
     """Angular-momentum component as a two-mode ladder bilinear.
 
-    The bilinears conserve total excitation, so on the truncated basis the
-    su(2) commutation relations hold to machine precision everywhere.
+    J_+ = a1^dag a2 is ``_raise_weights`` on the first sub-diagonal, J_- its
+    transpose, J_3 the diagonal (n1 - n2) / 2. None changes the total
+    excitation, so the su(2) relations hold to machine precision on the
+    truncated basis.
     """
     if fock_cutoff < 1:
         raise ValidationError(f"fock_cutoff must be >= 1, got {fock_cutoff}")
     if axis not in (1, 2, 3):
         raise ValidationError(f"axis must be 1, 2 or 3, got {axis!r}")
-    a1 = _lowering(fock_cutoff, 0)
-    a2 = _lowering(fock_cutoff, 1)
-    jp = a1.conj().T @ a2
-    jm = a2.conj().T @ a1
+    jp = np.diag(_raise_weights(fock_cutoff)[1:], -1).astype(complex)
     if axis == 1:
-        return (jp + jm) / 2.0
+        return (jp + jp.T) / 2.0
     if axis == 2:
-        return (jp - jm) / 2.0j
-    return (a1.conj().T @ a1 - a2.conj().T @ a2) / 2.0
+        return (jp - jp.T) / 2.0j
+    n1, n2 = np.array(fock_states(fock_cutoff)).T
+    return np.diag((n1 - n2) / 2.0).astype(complex)
 
 
 def jordan_schwinger_squared(fock_cutoff: int) -> np.ndarray:
@@ -166,7 +156,6 @@ def construct_omega(basis: AngularBasis,
     intertwining property is verified before returning.
     """
     n = basis.n
-    index = fock_index(n)
     coeff = np.zeros((len(fock_states(n)), 2**n), dtype=complex)
 
     mixing = {}
@@ -182,11 +171,12 @@ def construct_omega(basis: AngularBasis,
         u = mixing.get(two_l)
         tower = (basis.towers(two_l, 1)[0] if u is None
                  else np.tensordot(u[0], basis.towers(two_l, len(u)), axes=1))
-        coeff[[index[(two_l - s, s)] for s in range(two_l + 1)]] = tower.conj()  # m = l - s
+        lo = two_l * (two_l + 1) // 2
+        coeff[lo:lo + two_l + 1] = tower[::-1].conj()  # row lo + n1 holds m = n1 - l
 
     omega = OmegaMap(n, coeff)
     residual = intertwining_residual(omega)
-    if residual > _INTERTWINE_TOL:
+    if not residual <= _INTERTWINE_TOL:
         raise NumericError(
             f"intertwining residual {residual:.3e} exceeds {_INTERTWINE_TOL:.0e}; "
             "the supplied basis is inconsistent"
@@ -199,15 +189,23 @@ def intertwining_residual(omega: OmegaMap) -> float:
 
     The spin side acts on the rows of the map: ``c @ S_+`` is S_- applied
     to the columns of ``c.T`` (and vice versa), and ``c @ S_3`` scales
-    column j by its S_3 eigenvalue.
+    column j by its S_3 eigenvalue. The two-mode side acts on each total's
+    rows alone: J_+ c and J_- c shift them by one row with the weights of
+    ``_raise_weights``, and J_3 c scales row (n1, n2) by (n1 - n2) / 2.
     """
-    c = omega.coefficients
-    c_plus = _apply_ladder(c.T, False).T
-    c_minus = _apply_ladder(c.T, True).T
-    mapped = {1: (c_plus + c_minus) / 2.0, 2: (c_plus - c_minus) / 2.0j,
-              3: c * _s3_diagonal(omega.n)}
-    return max(float(np.max(np.abs(mapped[axis] - jordan_schwinger(omega.n, axis) @ c)))
-               for axis in (1, 2, 3))
+    c, w, s3 = omega.coefficients, _raise_weights(omega.n), _s3_diagonal(omega.n)
+    worst = []
+    for total in range(omega.n + 1):
+        lo = total * (total + 1) // 2
+        block, weight = c[lo:lo + total + 1], w[lo + 1:lo + total + 1, None]
+        d_plus = _apply_ladder(block.T, False).T  # c S_+ - J_+ c
+        d_plus[1:] -= weight * block[:-1]
+        d_minus = _apply_ladder(block.T, True).T  # c S_- - J_- c
+        d_minus[:-1] -= weight * block[1:]
+        m = np.arange(total + 1)[:, None] - total / 2.0
+        worst += [np.abs(d_plus + d_minus).max() / 2.0, np.abs(d_plus - d_minus).max() / 2.0,
+                  np.abs(block * (s3 - m)).max()]
+    return float(np.max(worst))
 
 
 def _commutator_residual(p: np.ndarray, q: np.ndarray) -> float:

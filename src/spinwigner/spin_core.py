@@ -227,10 +227,9 @@ def _apply_s2(x: np.ndarray) -> np.ndarray:
     return _apply_ladder(_apply_ladder(x, True), False) + (s3 * (s3 + 1.0)) * x
 
 
-@lru_cache(maxsize=64)
 def _ladder_plus(n: int) -> np.ndarray:
     """Collective raising operator: sum over sites of |up><down|."""
-    return _readonly(_apply_ladder(np.eye(2**n, dtype=complex), True))
+    return _apply_ladder(np.eye(2**n, dtype=complex), True)
 
 
 @lru_cache(maxsize=64)
@@ -239,22 +238,14 @@ def _s3_diagonal(n: int) -> np.ndarray:
     return _readonly(counts - n / 2.0)
 
 
-@lru_cache(maxsize=64)
 def _collective(n: int, axis: int) -> np.ndarray:
     sp = _ladder_plus(n)
     sm = sp.conj().T
     if axis == 1:
-        mat = (sp + sm) / 2.0
-    elif axis == 2:
-        mat = (sp - sm) / 2.0j
-    else:
-        mat = np.diag(_s3_diagonal(n)).astype(complex)
-    return _readonly(mat)
-
-
-@lru_cache(maxsize=64)
-def _total_squared(n: int) -> np.ndarray:
-    return _readonly(_apply_s2(np.eye(2**n, dtype=complex)))
+        return (sp + sm) / 2.0
+    if axis == 2:
+        return (sp - sm) / 2.0j
+    return np.diag(_s3_diagonal(n)).astype(complex)
 
 
 def build_collective_spin(n: int, axis: int, *, max_spins: int | None = None) -> SpinOperator:
@@ -271,7 +262,7 @@ def build_collective_spin(n: int, axis: int, *, max_spins: int | None = None) ->
 def total_spin_squared(n: int, *, max_spins: int | None = None) -> SpinOperator:
     """Total spin squared S^2 = S_1^2 + S_2^2 + S_3^2."""
     _check_capacity(n, max_spins)
-    return SpinOperator(n, _total_squared(n))
+    return SpinOperator(n, _apply_s2(np.eye(2**n, dtype=complex)))
 
 
 def ladder(n: int, direction: str, *, max_spins: int | None = None) -> SpinOperator:

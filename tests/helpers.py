@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 import spinwigner as sw
+from spinwigner.spin_core import _apply_ladder, _s3_diagonal
 
 _OMEGA_CACHE: dict[int, sw.OmegaMap] = {}
 
@@ -13,6 +14,49 @@ def omega(n: int) -> sw.OmegaMap:
     if n not in _OMEGA_CACHE:
         _OMEGA_CACHE[n] = sw.construct_omega(sw.decompose_angular_basis(n))
     return _OMEGA_CACHE[n]
+
+
+def fock_index(cutoff: int) -> dict[tuple[int, int], int]:
+    """Position of each (n1, n2) in the truncated Fock basis."""
+    return {pair: i for i, pair in enumerate(sw.fock_states(cutoff))}
+
+
+def reference_lowering(cutoff: int, mode: int) -> np.ndarray:
+    """Annihilation matrix for one mode on the truncated basis."""
+    states = sw.fock_states(cutoff)
+    index = fock_index(cutoff)
+    size = len(states)
+    a = np.zeros((size, size), dtype=complex)
+    for i, (n1, n2) in enumerate(states):
+        occ = (n1, n2)[mode]
+        if occ > 0:
+            dst = (n1 - 1, n2) if mode == 0 else (n1, n2 - 1)
+            a[index[dst], i] = np.sqrt(occ)
+    return a
+
+
+def reference_jordan_schwinger(cutoff: int, axis: int) -> np.ndarray:
+    """Dense two-mode bilinears formed from the annihilation matrices."""
+    a1 = reference_lowering(cutoff, 0)
+    a2 = reference_lowering(cutoff, 1)
+    jp = a1.conj().T @ a2
+    jm = a2.conj().T @ a1
+    if axis == 1:
+        return (jp + jm) / 2.0
+    if axis == 2:
+        return (jp - jm) / 2.0j
+    return (a1.conj().T @ a1 - a2.conj().T @ a2) / 2.0
+
+
+def reference_intertwining_residual(om: sw.OmegaMap) -> float:
+    """Intertwining residual from dense products J @ c on the whole map."""
+    c = om.coefficients
+    c_plus = _apply_ladder(c.T, False).T
+    c_minus = _apply_ladder(c.T, True).T
+    mapped = {1: (c_plus + c_minus) / 2.0, 2: (c_plus - c_minus) / 2.0j,
+              3: c * _s3_diagonal(om.n)}
+    return max(float(np.max(np.abs(mapped[axis] - reference_jordan_schwinger(om.n, axis) @ c)))
+               for axis in (1, 2, 3))
 
 
 def state_families(n: int) -> dict[str, sw.SpinMixture]:

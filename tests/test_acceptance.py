@@ -14,10 +14,10 @@ from scipy.special import eval_genlaguerre
 
 import spinwigner as sw
 from spinwigner.cli import main
-from spinwigner.omega_map import OscillatorDensity, fock_index
+from spinwigner.omega_map import OscillatorDensity
 from spinwigner.sphere import LmDensity
 
-from helpers import (basis_vector, nonreducible_two_spin_operator, omega,
+from helpers import (basis_vector, fock_index, nonreducible_two_spin_operator, omega,
                      oracle_wigner_integral, push_pure, singlet_vector)
 
 

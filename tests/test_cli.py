@@ -321,6 +321,32 @@ def test_oversize_grid_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_oversize_samples_refused_before_the_push(tmp_path, capsys):
+    state = _state_file(tmp_path, CAT5)
+    tracemalloc.start()
+    try:
+        code = main(["check", "--state", state, "--samples", "1000001"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--samples" in err and "Traceback" not in err
+    assert peak < 8e6  # the fiber check takes about 150 B per sample
+
+
+@pytest.mark.parametrize("method", ["numeric", "analytic", "both"])
+@pytest.mark.parametrize("theta", ["0:6.5", "-0.5:1"])
+def test_sphere_grid_theta_outside_zero_pi_is_refused(tmp_path, capsys, method, theta):
+    out = tmp_path / "sph.csv"
+    code = main(["sphere", "--state", _state_file(tmp_path, CAT5), "--grid",
+                 f"theta:{theta}:5,phi:0:1:3", "--out", str(out), "--method", method])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "theta" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_non_finite_value_refused_without_output(tmp_path, monkeypatch, capsys):
     import spinwigner.cli as cli
 
@@ -440,9 +466,12 @@ def _mixture_text(*components):
     ("kind cat\nspins 3\n", "plane4d", ["--fix", "q2=nan"], 1, "--fix q2"),
     ("kind cat\nspins 3\n", "check", ["--tolerance", "norm=-1"], 1, "tolerance norm"),
     (None, "check", ["--tolerance", "trace=nan"], 1, "tolerance trace"),
+    ("kind cat\nspins 3\n", "check", ["--samples", "2.5"], 1, "--samples"),
+    ("kind cat\nspins 3\n", "check", ["--samples", "0"], 1, "--samples"),
 ], ids=["component-fock-2.5", "component-coherent-abc", "component-weight-nan",
         "second-component-arity", "excitations-2.5", "spins-empty", "kind-empty", "theta-nan",
-        "beta-nan", "amp-1e400", "fix-nan", "tolerance-negative", "tolerance-trace-nan"])
+        "beta-nan", "amp-1e400", "fix-nan", "tolerance-negative", "tolerance-trace-nan",
+        "samples-2.5", "samples-zero"])
 def test_malformed_input_exits_with_error_line(tmp_path, capsys, text, command, extra,
                                                code, names):
     # the discarded-tower state fails its trace check, so a NaN tolerance

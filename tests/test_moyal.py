@@ -9,9 +9,9 @@ from scipy.special import eval_genlaguerre
 
 import spinwigner as sw
 from spinwigner.moyal import _BLOCK, wigner_complex_many
-from spinwigner.omega_map import OscillatorDensity, fock_index
+from spinwigner.omega_map import OscillatorDensity
 
-from helpers import (basis_vector, nonreducible_two_spin_operator, omega,
+from helpers import (basis_vector, fock_index, nonreducible_two_spin_operator, omega,
                      oracle_wigner_integral, push_pure, reference_moyal_1d,
                      reference_wigner_complex_many, state_families)
 

@@ -1,10 +1,14 @@
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 
 import spinwigner as sw
-from spinwigner.omega_map import OscillatorDensity, fock_index
+from spinwigner.omega_map import OscillatorDensity
 
-from helpers import basis_vector, omega, push_pure, singlet_vector
+from helpers import (basis_vector, fock_index, omega, push_pure, reference_intertwining_residual,
+                     reference_jordan_schwinger, singlet_vector)
 
 
 def test_fock_enumeration():
@@ -122,21 +126,61 @@ def test_omega_norm_preserving_on_outer_shell():
                 assert abs(np.linalg.norm(img) - 1.0) <= 1e-10
 
 
+@dataclass(frozen=True)
 class _CorruptedBasis(sw.AngularBasis):
-    """Negates the l = 1, m = 0 row of shell 2l = 2."""
+    """Applies ``corrupt`` to a copy of the towers of shell ``bad_l``."""
+
+    bad_l: int
+    corrupt: Callable[[np.ndarray], None]
 
     def towers(self, two_l, count):
         towers = super().towers(two_l, count)
-        if two_l == 2:
+        if two_l == self.bad_l:
             towers = towers.copy()
-            towers[:, 1] *= -1.0
+            self.corrupt(towers)
         return towers
 
 
-def test_construct_omega_rejects_corrupted_basis():
-    bad = _CorruptedBasis(2)
+def _negate_row_1(t):
+    t[:, 1] *= -1.0
+
+
+def _scale_row_2(t):
+    t[:, 2] *= 1.001
+
+
+def _swap_rows_0_1(t):
+    t[:, [0, 1]] = t[:, [1, 0]]
+
+
+def _nan_entry(t):
+    t[0, 1, np.flatnonzero(t[0, 1])[0]] = np.nan
+
+
+@pytest.mark.parametrize("n, bad_l, corrupt", [
+    (2, 2, _negate_row_1),
+    (5, 3, _scale_row_2),
+    (4, 4, _swap_rows_0_1),
+    (5, 1, _swap_rows_0_1),
+    (3, 3, _nan_entry),
+], ids=["negated-m0-row", "scaled-row", "swapped-outer-rows", "swapped-inner-rows", "nan-entry"])
+def test_construct_omega_rejects_corrupted_basis(n, bad_l, corrupt):
     with pytest.raises(sw.NumericError):
-        sw.construct_omega(bad)
+        sw.construct_omega(_CorruptedBasis(n, bad_l, corrupt))
+
+
+@pytest.mark.parametrize("n, mixing", [(n, None) for n in range(1, 11)]
+                         + [(3, {1: np.array([[0.0, 1.0], [1.0, 0.0]])})])
+def test_intertwining_residual_matches_dense_reference(n, mixing):
+    om = sw.construct_omega(sw.decompose_angular_basis(n), shell_mixing=mixing)
+    assert abs(sw.intertwining_residual(om) - reference_intertwining_residual(om)) <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", range(1, 9))
+@pytest.mark.parametrize("axis", [1, 2, 3])
+def test_jordan_schwinger_matches_dense_bilinears(cutoff, axis):
+    expect = reference_jordan_schwinger(cutoff, axis)
+    assert np.max(np.abs(sw.jordan_schwinger(cutoff, axis) - expect)) <= 1e-15
 
 
 def test_shell_mixing_selects_other_tower():

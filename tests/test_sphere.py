@@ -8,10 +8,9 @@ from scipy.special import eval_genlaguerre, hyp2f1
 
 import spinwigner as sw
 import spinwigner.sphere as sphere_mod
-from spinwigner.omega_map import fock_index
 from spinwigner.sphere import LmDensity
 
-from helpers import basis_vector, omega, push_pure, singlet_vector
+from helpers import basis_vector, fock_index, omega, push_pure, singlet_vector
 
 
 def test_ws_singlet_is_uniform():

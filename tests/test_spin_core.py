@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,16 @@ def test_spin_state_validation():
         sw.SpinState(2, np.array([1.0, 0.0]))  # wrong length
     with pytest.raises(sw.ValidationError):
         sw.SpinState(1, np.array([1.0, 1.0]))  # not normalized
+
+
+def test_dense_builders_keep_no_operator_alive():
+    tracemalloc.start()
+    try:
+        for axis in (1, 2, 3):
+            sw.build_collective_spin(9, axis)
+        sw.total_spin_squared(9)
+        sw.ladder(9, "raise")
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 1e6  # one 2^9 x 2^9 complex operator is 4.2 MB

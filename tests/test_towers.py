@@ -78,4 +78,4 @@ def test_embedding_at_twelve_spins_builds_no_full_basis():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 100e6
+    assert peak < 20e6  # the map itself is 6 MB complex
