@@ -15,7 +15,9 @@ with ``#`` are skipped, every other line is ``key value...``. Examples::
 
 ``raw`` lists one ``amp re im`` line per basis index, ascending. ``operator``
 lists one ``row`` line per matrix row with comma-joined re,im pairs; it is
-the only kind that may describe a non-density operator.
+the only kind that may describe a non-density operator. A file holds only
+``kind``, ``spins`` and its kind's own keys, each once; only ``amp``, ``row``
+and ``component`` repeat.
 
 Grids are given as ``--grid "name:lo:hi:samples,..."`` with axis names
 x1,x2,x3 (volume), theta,phi (sphere) or two of q1,p1,q2,p2 (plane4d).
@@ -71,6 +73,11 @@ _KIND_PARAMS = {
     "coherent": (("theta", float), ("phi", float)),
     "cat": (),
 }
+# Keys each kind takes besides ``kind`` and ``spins``. Every key is given
+# once, except that ``amp``, ``row`` and ``component`` take one line each.
+_KIND_KEYS = {**{kind: [name for name, _ in params] for kind, params in _KIND_PARAMS.items()},
+              "raw": ["amp"], "squeezed": ["beta", "base_theta", "base_phi"],
+              "mixture": ["component"], "operator": ["row"]}
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,12 @@ def parse_state_text(text: str) -> StateSpec:
         if line and not line.startswith("#"):
             key, *vals = line.split()
             entries.append((key, vals))
-    lines = {key: vals for key, vals in entries if key not in ("amp", "row", "component")}
+    lines: dict[str, list[str]] = {}
+    for key, vals in entries:
+        if key in lines:
+            raise ValidationError(f"state file gives '{key}' twice")
+        if key not in ("amp", "row", "component"):
+            lines[key] = vals
 
     def field(key: str, count: int = 1) -> list[str]:
         if key not in lines:
@@ -233,6 +245,11 @@ def parse_state_text(text: str) -> StateSpec:
     kind = field("kind")[0]
     n = _number(field("spins")[0], "spins", int, lo=1)
     _check_capacity(n, None)  # before anything of size 2^n is built
+    if kind not in _KIND_KEYS:
+        raise ValidationError(f"unknown state kind {kind!r}")
+    for key, _ in entries:
+        if key not in ("kind", "spins", *_KIND_KEYS[kind]):
+            raise ValidationError(f"a {kind} state takes no '{key}' line")
 
     def spec(kind: str, texts: list, prefix: str = "") -> StateSpec:
         """A state of a kind in the table from its parameter texts, or a
@@ -270,13 +287,11 @@ def parse_state_text(text: str) -> StateSpec:
         if not comps:
             raise ValidationError("mixture needs 'component' lines")
         return StateSpec("mixture", n, components=tuple(comps))
-    if kind == "operator":
-        rows = [_amplitudes(_split_pairs(vals), n, f"row {i}")
-                for i, vals in enumerate((vals for key, vals in entries if key == "row"), 1)]
-        if len(rows) != 2**n:
-            raise ValidationError(f"operator needs {2**n} 'row' lines, got {len(rows)}")
-        return StateSpec("operator", n, matrix=tuple(rows))
-    raise ValidationError(f"unknown state kind {kind!r}")
+    rows = [_amplitudes(_split_pairs(vals), n, f"row {i}")  # the operator kind
+            for i, vals in enumerate((vals for key, vals in entries if key == "row"), 1)]
+    if len(rows) != 2**n:
+        raise ValidationError(f"operator needs {2**n} 'row' lines, got {len(rows)}")
+    return StateSpec("operator", n, matrix=tuple(rows))
 
 
 def load_state_spec(path: str) -> StateSpec:
@@ -295,7 +310,9 @@ def _push_spec(spec: StateSpec) -> tuple[OscillatorDensity, float]:
 
 def _chunked(fn, total: int) -> np.ndarray:
     """Evaluate fn over slices of ``_CHUNK`` points, so working memory does
-    not grow with the grid."""
+    not grow with the grid. Only ``volume`` and ``sphere`` need it: their
+    Hopf-section and radial-node arrays grow with the point count, while the
+    Moyal kernel behind ``plane4d`` already works in fixed-size blocks."""
     return np.concatenate([np.atleast_1d(fn(slice(i, min(i + _CHUNK, total))))
                            for i in range(0, total, _CHUNK)])
 
@@ -336,7 +353,8 @@ def _maybe_normalization(density: OscillatorDensity, notes: list[str]) -> float:
         notes.append("normalization skipped: operator does not commute with total spin squared")
         return math.nan
     if density.represented_trace <= 1e-9:
-        notes.append("normalization skipped: represented trace is zero")
+        notes.append(f"normalization skipped: represented trace "
+                     f"{density.represented_trace:.3e} is not above 1e-9")
         return math.nan
     return sphere_normalization(density)
 
@@ -380,8 +398,6 @@ def cmd_eval_volume(spec: StateSpec, grid: GridSpec, out_path: str) -> EvalRepor
 def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
                     method: str = "numeric") -> EvalReport:
     """Evaluate the spherical function on an angular grid and write it out."""
-    if method not in ("analytic", "numeric", "both"):
-        raise ValidationError(f"method must be analytic, numeric or both, got {method!r}")
 
     def evaluate(density, theta, phi, notes):
         force = not density.commutes_with_s2
@@ -419,13 +435,8 @@ def cmd_eval_plane4d(spec: StateSpec, grid: GridSpec, out_path: str) -> EvalRepo
     """
 
     def evaluate(density, ga, gb, notes):
-        coords = {name: np.full(ga.size, val) for name, val in grid.fixed}
-        coords[grid.axes[0].name] = ga
-        coords[grid.axes[1].name] = gb
-        vals = _chunked(
-            lambda s: wigner_complex_many(density, coords["q1"][s], coords["p1"][s],
-                                          coords["q2"][s], coords["p2"][s]),
-            ga.size)
+        coords = {**dict(grid.fixed), grid.axes[0].name: ga, grid.axes[1].name: gb}
+        vals = wigner_complex_many(density, *(coords[name] for name in _PLANE_AXES))
         return ["value_re", "value_im"], [vals.real, vals.imag]
 
     return _evaluate_grid(spec, grid, out_path, evaluate)

@@ -14,10 +14,11 @@ matrix elements times products of one-mode Moyal functions, one per mode.
 Factorial ratios are taken in log space and the complex monomial is built
 by repeated multiplication, which keeps the axes exactly real/imaginary.
 
-The sum runs over blocks of ``_BLOCK`` points. Per block and mode, one table
-holds the entries the non-zero pairs need: exp(-rho) and the powers of q - ip
-are formed once, one Laguerre recurrence per order yields every degree, and
-mirrors are conjugates. Pairs then add up in ``np.nonzero`` order, the same
+The sum runs over blocks of ``_BLOCK`` points. Each mode's orders and degrees
+are grouped once per call; per block, one walk over the orders forms each
+needed entry from one exp(-rho), the powers of q - ip and one Laguerre
+recurrence per order, and its mirror row is the conjugate. Pairs add up in
+``np.nonzero`` order as out-of-place products with no scratch rows, the same
 operations as a per-pair sum over all points, so values are bit-identical,
 while memory stays (n + 1)^2 x ``_BLOCK`` entries per mode at any point count.
 """
@@ -25,7 +26,6 @@ while memory stays (n + 1)^2 x ``_BLOCK`` entries per mode at any point count.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,27 +77,23 @@ def laguerre(degree: int, order: int | float, x):
     return cur if cur.ndim else float(cur)
 
 
-def _moyal_table(keys, q, p, out: np.ndarray) -> None:
-    """Fill out[row] with W_{n n'}(q, p) for each (row, n, n') of keys.
+def _moyal_entries(need, q, p):
+    """Yield (n, d, W_{n, n+d}(q, p)) for each order d and degree n in need[d].
 
-    Each entry is ((pref * zbar^d) * exp(-rho)) * L_n^d(2 rho) for n <= n',
-    d = n' - n, and the conjugate of its mirror below the diagonal.
+    Each entry is ((pref * zbar^d) * exp(-rho)) * L_n^d(2 rho); one Laguerre
+    recurrence per order runs up to its largest needed degree.
     """
     rho = q * q + p * p
     damp = np.exp(-rho).astype(complex)
     zbar = q - 1j * p
-    wanted = defaultdict(lambda: defaultdict(list))  # d -> degree -> [(row, mirrored)]
-    for row, n, n_prime in keys:
-        wanted[abs(n_prime - n)][min(n, n_prime)].append((row, n > n_prime))
     mono = np.ones_like(q, dtype=complex)
-    for d in range(max(wanted, default=-1) + 1):
-        for n, lag in enumerate(_laguerre_rows(max(wanted[d], default=0), d, 2.0 * rho)):
-            if n in wanted[d]:
+    for d in range(max(need, default=-1) + 1):
+        degrees = need.get(d, ())
+        for n, lag in enumerate(_laguerre_rows(max(degrees, default=0), d, 2.0 * rho)):
+            if n in degrees:
                 pref = (-1.0) ** n / math.pi * math.exp(
                     0.5 * (d * _LN2 + math.lgamma(n + 1) - math.lgamma(n + d + 1)))
-                entry = pref * mono * damp * lag
-                for row, mirrored in wanted[d][n]:
-                    out[row] = np.conjugate(entry) if mirrored else entry
+                yield n, d, pref * mono * damp * lag
         mono = mono * zbar
 
 
@@ -106,9 +102,9 @@ def moyal_1d(n: int, n_prime: int, q, p):
     if n < 0 or n_prime < 0:
         raise ValidationError("Moyal indices must be >= 0")
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
-    out = np.empty((1,) + q.shape, dtype=complex)
-    _moyal_table([(0, n, n_prime)], q, p, out)
-    return out[0] if q.ndim else complex(out[0])
+    ((_, _, entry),) = _moyal_entries({abs(n_prime - n): {min(n, n_prime)}}, q, p)
+    entry = np.conjugate(entry) if n > n_prime else entry
+    return entry if q.ndim else complex(entry)
 
 
 def wigner_complex_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarray:
@@ -124,20 +120,25 @@ def wigner_complex_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarra
     # mode -> pair -> ket * width + bra, the pair's row in that mode's table
     codes = (states[cols] * width + states[rows]).T.tolist()
     pairs = list(zip(density.elements[rows, cols], *codes))
-    keys = [[(c, *divmod(c, width)) for c in set(mode)] for mode in codes]
-    tables = np.empty((2 * width**2 + 2, min(q1.size, _BLOCK)), dtype=complex)
+    needs = [{}, {}]  # mode -> order d -> degrees n of the entries W_{n, n+d} it reads
+    for mode, need in zip(codes, needs):
+        for n, n_prime in (divmod(c, width) for c in set(mode)):
+            need.setdefault(abs(n_prime - n), set()).add(min(n, n_prime))
+    tables = np.empty((2, width**2, min(q1.size, _BLOCK)), dtype=complex)
     out = np.zeros(q1.size, dtype=complex)
     for start in range(0, q1.size, _BLOCK):
         s = slice(start, start + _BLOCK)
         total = out[s]
-        table1, table2, (half, term) = np.split(tables[:, :total.size], [width**2, 2 * width**2])
-        for mode_keys, q, p, table in zip(keys, (q1, q2), (p1, p2), (table1, table2)):
+        table1, table2 = tables[:, :, :total.size]
+        for need, q, p, table in zip(needs, (q1, q2), (p1, p2), (table1, table2)):
             # a 0-d point keeps numpy's scalar arithmetic, as the per-pair sum had it
-            _moyal_table(mode_keys, q.flat[s] if q.ndim else q, p.flat[s] if p.ndim else p, table)
-        for e, i, j in pairs:  # half *= ... would round differently at a lone point
-            np.multiply(e, table1[i], out=half)
-            np.multiply(half, table2[j], out=term)
-            total += term
+            for n, d, entry in _moyal_entries(need, q.flat[s] if q.ndim else q,
+                                              p.flat[s] if p.ndim else p):
+                table[n * width + n + d] = entry
+                if d:
+                    table[(n + d) * width + n] = np.conjugate(entry)
+        for e, i, j in pairs:  # products out of place, as the per-pair sum formed them
+            total += e * table1[i] * table2[j]
     return out.reshape(q1.shape)
 
 

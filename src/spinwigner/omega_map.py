@@ -198,6 +198,8 @@ def intertwining_residual(omega: OmegaMap) -> float:
     for total in range(omega.n + 1):
         lo = total * (total + 1) // 2
         block, weight = c[lo:lo + total + 1], w[lo + 1:lo + total + 1, None]
+        if not block.any():  # zero residual: ω fills no total of the other parity to n
+            continue
         d_plus = _apply_ladder(block.T, False).T  # c S_+ - J_+ c
         d_plus[1:] -= weight * block[:-1]
         d_minus = _apply_ladder(block.T, True).T  # c S_- - J_- c
@@ -205,7 +207,7 @@ def intertwining_residual(omega: OmegaMap) -> float:
         m = np.arange(total + 1)[:, None] - total / 2.0
         worst += [np.abs(d_plus + d_minus).max() / 2.0, np.abs(d_plus - d_minus).max() / 2.0,
                   np.abs(block * (s3 - m)).max()]
-    return float(np.max(worst))
+    return float(np.max(worst, initial=0.0))
 
 
 def _commutator_residual(p: np.ndarray, q: np.ndarray) -> float:

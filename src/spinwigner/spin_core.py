@@ -12,8 +12,9 @@ Conventions used throughout the package:
 * Half-integer quantum numbers are stored doubled (``two_l = 2l``,
   ``two_m = 2m``) so labels compare exactly.
 
-Everything returned here is immutable: arrays are marked read-only, so
-values can be shared freely across threads.
+Everything returned here is immutable: arrays are marked read-only, so a
+cached array (``_s3_diagonal``) or a validated one (a state's amplitudes, an
+operator's matrix) cannot be changed after it was checked or shared.
 """
 
 from __future__ import annotations

@@ -257,6 +257,37 @@ def test_check_command_discarded_shell_fails(tmp_path, capsys):
     assert "status=fail" in report
 
 
+def test_check_note_shows_the_represented_trace_it_skips(tmp_path, capsys):
+    state = _state_file(tmp_path, "kind operator\nspins 1\nrow -0.5,0 0,0\nrow 0,0 -0.5,0\n")
+    main(["check", "--state", state])
+    report = capsys.readouterr().out
+    assert "represented_trace=-1.000000000000e+00" in report
+    assert "note=normalization skipped: represented trace -1.000e+00 is not above 1e-9" in report
+
+
+def test_analytic_route_falls_back_for_commuting_state_with_cross_shell_terms(tmp_path, capsys):
+    # |up,up> plus a 1e-10 singlet: the S^2 residual passes the commutation
+    # test, but the cross-shell entries stay above LmDensity's 1e-13 cut
+    eps = 1e-10
+    amps = (0.0, -eps / math.sqrt(2.0), eps / math.sqrt(2.0), math.sqrt(1.0 - eps * eps))
+    state = _state_file(tmp_path, "kind raw\nspins 2\n" + "".join(f"amp {a!r} 0\n" for a in amps))
+
+    def run(method):
+        out = tmp_path / f"{method}.csv"
+        assert main(["sphere", "--state", state, "--grid", "theta:0:3.14159:5,phi:0:6.28:4",
+                     "--out", str(out), "--method", method]) == 0
+        lines = out.read_text().splitlines()
+        return capsys.readouterr().out, [line for line in lines if not line.startswith("#")]
+
+    report, numeric = run("numeric")
+    assert "commutes_with_s2=true" in report and numeric[0] == "theta,phi,value"
+    for method in ("analytic", "both"):
+        report, data = run(method)
+        assert ("note=analytic route fell back to numeric: no closed spherical form for "
+                "cross-shell coherences") in report
+        assert data == numeric
+
+
 def test_check_command_nonreducible_operator_fails(tmp_path, capsys):
     state = _state_file(tmp_path, NONREDUCIBLE_OPERATOR)
     assert main(["check", "--state", state]) == 1
@@ -468,10 +499,18 @@ def _mixture_text(*components):
     (None, "check", ["--tolerance", "trace=nan"], 1, "tolerance trace"),
     ("kind cat\nspins 3\n", "check", ["--samples", "2.5"], 1, "--samples"),
     ("kind cat\nspins 3\n", "check", ["--samples", "0"], 1, "--samples"),
+    ("kind cat\nspins 2\nspins 3\n", "volume", [], 1, "'spins'"),
+    ("kind coherent\nspins 3\ntheta 0.1\ntheta 2.0\nphi 0\n", "check", [], 1, "'theta'"),
+    ("kind squeezed\nspins 3\nbeta 0.2 0\nbase_thetaa 1.2\n", "volume", [], 1, "'base_thetaa'"),
+    ("kind coherent\nspins 1\ntheta 0\nphi 0\namp 1 0\namp 0 0\n", "check", [], 1, "'amp'"),
+    ("kind coherent\nspins 1\ntheta 0\nphi 0\nrow 1,0 0,0\n", "volume", [], 1, "'row'"),
+    ("kind coherent\nspins 3\ntheta 0\nphi 0\ncomponent 1 cat\n", "check", [], 1,
+     "'component'"),
 ], ids=["component-fock-2.5", "component-coherent-abc", "component-weight-nan",
         "second-component-arity", "excitations-2.5", "spins-empty", "kind-empty", "theta-nan",
         "beta-nan", "amp-1e400", "fix-nan", "tolerance-negative", "tolerance-trace-nan",
-        "samples-2.5", "samples-zero"])
+        "samples-2.5", "samples-zero", "spins-twice", "theta-twice", "squeezed-key-typo",
+        "coherent-amp", "coherent-row", "coherent-component"])
 def test_malformed_input_exits_with_error_line(tmp_path, capsys, text, command, extra,
                                                code, names):
     # the discarded-tower state fails its trace check, so a NaN tolerance

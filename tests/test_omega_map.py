@@ -176,6 +176,18 @@ def test_intertwining_residual_matches_dense_reference(n, mixing):
     assert abs(sw.intertwining_residual(om) - reference_intertwining_residual(om)) <= 1e-14
 
 
+def test_intertwining_residual_checks_totals_of_the_other_parity():
+    # construct_omega leaves the odd totals of an n = 4 map empty; a row written
+    # there must still count, although the check skips all-zero totals
+    coeff = np.array(sw.construct_omega(sw.decompose_angular_basis(4)).coefficients)
+    assert not coeff[1:3].any()
+    coeff[1] = np.linspace(0.1, 1.6, 16)  # total 1, Fock row (0, 1)
+    om = sw.OmegaMap(4, coeff)
+    residual = sw.intertwining_residual(om)
+    assert residual > 0.1
+    assert abs(residual - reference_intertwining_residual(om)) <= 1e-14
+
+
 @pytest.mark.parametrize("cutoff", range(1, 9))
 @pytest.mark.parametrize("axis", [1, 2, 3])
 def test_jordan_schwinger_matches_dense_bilinears(cutoff, axis):
