@@ -9,12 +9,11 @@ radially onto the sphere (``sphere``). ``states`` builds the standard
 state families and ``cli`` exposes grid evaluation as a command line tool.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (
     AngularBasis,
-    BasisEntry,
     SpinMixture,
     SpinOperator,
     SpinState,
@@ -74,7 +73,6 @@ from .states import (
 
 __all__ = [
     "AngularBasis",
-    "BasisEntry",
     "CapacityError",
     "LmDensity",
     "NumericError",

@@ -28,7 +28,8 @@ evaluation and the normalization have succeeded.
 
 Every number read from a state file, ``--grid``, ``--fix``, ``--tolerance``
 or ``--samples`` must be finite; integer fields (``spins``, ``excitations``,
-sample counts) must be exact integers, tolerances must be non-negative, and
+sample counts) must be exact integers, tolerances must be non-negative,
+``--fix`` and ``--tolerance`` name each of their keys at most once, and
 ``spins`` must lie in 1..12, checked before anything of size 2^n is built.
 A squeezing ``beta`` that needs over 1,024 Taylor steps, or over 1,000,000
 grid points or samples, is a capacity error. Sphere grids keep theta in [0, pi].
@@ -158,6 +159,21 @@ def _number(text: str, where: str, cast=float, lo: float | None = None):
     return value
 
 
+def _key_values(text: str, option: str, allowed: dict[str, float],
+                lo: float | None = None) -> dict[str, float]:
+    """Read ``key=value,...`` given to ``option``: each key once, from ``allowed``."""
+    out: dict[str, float] = {}
+    for item in text.split(","):
+        key, _, val = item.partition("=")
+        key = key.strip()
+        if key in out:
+            raise ValidationError(f"{option}: {key!r} is given twice")
+        if key not in allowed:
+            raise ValidationError(f"{option}: {key!r} is not one of {', '.join(allowed)}")
+        out[key] = _number(val, f"{option} {key}", lo=lo)
+    return out
+
+
 def parse_grid(kind: str, text: str, fixed_text: str | None = None) -> GridSpec:
     axes = []
     for part in text.split(","):
@@ -190,12 +206,7 @@ def parse_grid(kind: str, text: str, fixed_text: str | None = None) -> GridSpec:
             )
         remaining = {name: 0.0 for name in _PLANE_AXES if name not in names}
         if fixed_text:
-            for item in fixed_text.split(","):
-                key, _, val = item.partition("=")
-                key = key.strip()
-                if key not in remaining:
-                    raise ValidationError(f"--fix names {key!r}, which is not a free coordinate")
-                remaining[key] = _number(val, f"--fix {key}")
+            remaining.update(_key_values(fixed_text, "--fix", remaining))
         fixed = tuple(sorted(remaining.items()))
     else:
         raise ValidationError(f"unknown grid kind {kind!r}")
@@ -480,21 +491,6 @@ def cmd_check(spec: StateSpec, tolerances: dict[str, float] | None = None,
     return report, ok
 
 
-def _parse_tolerances(text: str | None) -> dict[str, float]:
-    if not text:
-        return {}
-    out: dict[str, float] = {}
-    for item in text.split(","):
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in _DEFAULT_TOLERANCES:
-            raise ValidationError(
-                f"unknown tolerance {key!r}; known: {', '.join(sorted(_DEFAULT_TOLERANCES))}"
-            )
-        out[key] = _number(val, f"tolerance {key}", lo=0.0)
-    return out
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinwigner",
@@ -531,7 +527,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "check":
-            tolerances = _parse_tolerances(args.tolerance)
+            tolerances = (_key_values(args.tolerance, "--tolerance", _DEFAULT_TOLERANCES, lo=0.0)
+                          if args.tolerance else {})
             samples = _number(args.samples, "--samples", int, lo=1)
             if samples > _MAX_GRID_POINTS:
                 raise CapacityError(f"--samples {samples} is above the {_MAX_GRID_POINTS} budget")

@@ -228,13 +228,20 @@ def _push_dense(omega: OmegaMap, op: np.ndarray) -> OscillatorDensity:
     return _pushed(omega, c @ op @ c.conj().T, residual)
 
 
-def push_operator(omega: OmegaMap, op: np.ndarray) -> OscillatorDensity:
-    """Push an arbitrary spin-space operator through the embedding."""
+def _dense_operator(omega: OmegaMap, op: np.ndarray, what: str) -> np.ndarray:
+    """``op`` as a complex 2^n x 2^n array with finite entries."""
     op = np.asarray(op, dtype=complex)
     dim = 2**omega.n
     if op.shape != (dim, dim):
-        raise ValidationError(f"operator shape {op.shape}, expected ({dim}, {dim})")
-    return _push_dense(omega, op)
+        raise ValidationError(f"{what} shape {op.shape}, expected ({dim}, {dim})")
+    if not np.isfinite(op).all():
+        raise ValidationError(f"{what} has a non-finite entry")
+    return op
+
+
+def push_operator(omega: OmegaMap, op: np.ndarray) -> OscillatorDensity:
+    """Push an arbitrary spin-space operator through the embedding."""
+    return _push_dense(omega, _dense_operator(omega, op, "operator"))
 
 
 def push_density(omega: OmegaMap, rho: np.ndarray | SpinMixture) -> OscillatorDensity:
@@ -260,12 +267,7 @@ def push_density(omega: OmegaMap, rho: np.ndarray | SpinMixture) -> OscillatorDe
         residual = _commutator_residual(psi * w, _apply_s2(psi))
         image = omega.coefficients @ psi
         return _pushed(omega, (image * w) @ image.conj().T, residual)
-    rho = np.asarray(rho, dtype=complex)
-    dim = 2**omega.n
-    if rho.shape != (dim, dim):
-        raise ValidationError(f"density shape {rho.shape}, expected ({dim}, {dim})")
-    # Each test is written so that NaN fails it; a non-finite entry makes
-    # the Hermiticity deviation NaN.
+    rho = _dense_operator(omega, rho, "density")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if not herm <= _HERM_TOL:
         raise ValidationError(f"density is not Hermitian (max deviation {herm:.3e})")

@@ -23,6 +23,8 @@ from .moyal import PhasePoint4, wigner_complex_many, wigner_4d_many
 from .omega_map import S2_COMMUTE_TOL, OscillatorDensity
 
 _SECTION_EPS = 1e-12
+_FIBER_SEED = 0
+_FIBER_RADIUS = 1.5
 
 
 @dataclass(frozen=True)
@@ -115,19 +117,19 @@ def reduced_wigner(density: OscillatorDensity, pt3: PhasePoint3) -> float:
     return float(reduced_wigner_many(density, pt3.x1, pt3.x2, pt3.x3))
 
 
-def check_fiber_invariance(density: OscillatorDensity, samples: int, *,
-                           seed: int = 0, radius: float = 1.5) -> float:
+def check_fiber_invariance(density: OscillatorDensity, samples: int) -> float:
     """Largest relative change of W under random fiber rotations.
 
-    Samples phase-space points uniformly in a box and fiber angles
-    uniformly on the circle; returns max |W(rotated) - W| / (|W| + 1e-12).
+    Samples phase-space points uniformly in a box of half-width
+    ``_FIBER_RADIUS`` and fiber angles uniformly on the circle; returns
+    max |W(rotated) - W| / (|W| + 1e-12).
     Values near machine precision certify fiber constancy, order-one values
-    certify its absence. Deterministic for a fixed seed.
+    certify its absence. Deterministic: the generator seed is fixed.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-radius, radius, size=(samples, 4))
+    rng = np.random.default_rng(_FIBER_SEED)
+    pts = rng.uniform(-_FIBER_RADIUS, _FIBER_RADIUS, size=(samples, 4))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=samples)
     q1, p1, q2, p2 = pts.T
     c, s = np.cos(angles), np.sin(angles)

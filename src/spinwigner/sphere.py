@@ -33,6 +33,7 @@ from .moyal import wigner_complex_many, wigner_4d_many
 from .reduced_space import _require_commuting, hopf_section_arrays
 
 _IMAG_TOL = 1e-10
+_LM_CUT = 1e-13
 
 
 @dataclass(frozen=True)
@@ -201,15 +202,14 @@ class LmDensity:
     cross_shell: tuple[tuple[int, int, int, int, complex], ...]
 
     @classmethod
-    def from_density(cls, density: OscillatorDensity, tol: float | None = None) -> "LmDensity":
+    def from_density(cls, density: OscillatorDensity) -> "LmDensity":
         """Relabel Fock matrix elements by their shell quantum numbers.
 
-        Entries below ``tol`` are dropped; the default scales with the
-        largest element so that push roundoff never masquerades as a
-        cross-shell coherence.
+        Entries below ``_LM_CUT`` times the largest element (at least 1) are
+        dropped, so that push roundoff never masquerades as a cross-shell
+        coherence.
         """
-        if tol is None:
-            tol = 1e-13 * max(1.0, float(np.max(np.abs(density.elements), initial=0.0)))
+        tol = _LM_CUT * max(1.0, float(np.max(np.abs(density.elements), initial=0.0)))
         states = fock_states(density.n)
         same: list[tuple[int, int, int, complex]] = []
         cross: list[tuple[int, int, int, int, complex]] = []

@@ -1,4 +1,5 @@
-"""Collective spin operators and the labelled (S^2, S_3) eigenbasis.
+"""Collective spin operators and the labelled (S^2, S_3) eigenbasis, which
+is read one shell at a time through ``AngularBasis.towers``.
 
 Conventions used throughout the package:
 
@@ -20,7 +21,7 @@ operator's matrix) cannot be changed after it was checked or shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -29,8 +30,8 @@ from .errors import CapacityError, NumericError, ValidationError
 
 #: Largest spin count accepted by default. States, the embedding's towers
 #: and the push are handled by O(n 2^n) bit flips; what stays dense (4^n
-#: memory, 268 MB complex at n = 12) is the ``operator`` kind's matrix, the
-#: dense operator builders and a basis whose ``entries`` are read.
+#: memory, 268 MB complex at n = 12) is the ``operator`` kind's matrix and
+#: the dense operator builders.
 DEFAULT_MAX_SPINS = 12
 
 _NORM_TOL = 1e-9
@@ -43,8 +44,8 @@ def _check_capacity(n: int, max_spins: int | None) -> None:
     if n < 1 or n > limit:
         raise CapacityError(
             f"spin count {n} outside supported range 1..{limit} "
-            "(raise max_spins to allow more; the operator kind, the dense builders "
-            "and the full labelled basis take 4^n memory)"
+            "(raise max_spins to allow more; the operator kind and the dense "
+            "builders take 4^n memory)"
         )
 
 
@@ -139,27 +140,9 @@ class SpinOperator:
 
 
 @dataclass(frozen=True)
-class BasisEntry:
-    """One labelled eigenvector: degeneracy index k and doubled (l, m)."""
-
-    k: int
-    two_l: int
-    two_m: int
-    state: SpinState
-
-    @property
-    def l(self) -> float:
-        return self.two_l / 2.0
-
-    @property
-    def m(self) -> float:
-        return self.two_m / 2.0
-
-
-@dataclass(frozen=True)
 class AngularBasis:
-    """Orthonormal simultaneous eigenbasis of (S^2, S_3), labelled (k, l, m),
-    built on demand: ``entries`` builds and keeps every tower (4^n memory)."""
+    """Orthonormal simultaneous eigenbasis of (S^2, S_3), labelled (k, l, m):
+    vector (k, l, m) is row l - m of tower k of shell 2l, built on demand."""
 
     n: int
 
@@ -171,29 +154,6 @@ class AngularBasis:
             raise ValidationError(
                 f"shell 2l = {two_l} of {self.n} spins has {mult} towers, {count} requested")
         return _shell_towers(self.n, two_l, count)
-
-    @cached_property
-    def entries(self) -> tuple[BasisEntry, ...]:
-        """Every labelled vector, shells by descending l, then k, then m."""
-        out = []
-        for two_l in range(self.n, (self.n % 2) - 1, -2):
-            for k, tower in enumerate(self.towers(two_l, shell_multiplicity(self.n, two_l))):
-                out.extend(BasisEntry(k, two_l, two_l - 2 * step,
-                                      SpinState(self.n, v.astype(complex)))
-                           for step, v in enumerate(tower))
-        return tuple(out)
-
-    def matrix(self) -> np.ndarray:
-        """Columns are the basis vectors, in entry order."""
-        return np.column_stack([e.state.amplitudes for e in self.entries])
-
-    def shell_multiplicities(self) -> dict[int, int]:
-        """Number of degenerate towers per doubled total-spin label."""
-        counts: dict[int, int] = {}
-        for e in self.entries:
-            if e.two_m == e.two_l:
-                counts[e.two_l] = counts.get(e.two_l, 0) + 1
-        return counts
 
 
 def shell_multiplicity(n: int, two_l: int) -> int:

@@ -239,10 +239,9 @@ def test_check_command_cat_passes(tmp_path, capsys):
 
 def _discarded_tower_state():
     """A raw state in a degeneracy tower the embedding drops (k = 1)."""
-    basis = sw.decompose_angular_basis(3)
-    lost = next(e for e in basis.entries if e.two_l == 1 and e.k == 1 and e.two_m == 1)
+    lost = sw.decompose_angular_basis(3).towers(1, 2)[1, 0]
     lines = ["kind raw", "spins 3"]
-    for a in lost.state.amplitudes:
+    for a in lost:
         lines.append(f"amp {float(a.real)!r} {float(a.imag)!r}")
     return "\n".join(lines) + "\n"
 
@@ -313,7 +312,8 @@ def test_outputs_are_deterministic(tmp_path):
         out = str(tmp_path / f"vol_{tag}.csv")
         assert main(["volume", "--state", state, "--grid",
                      "x1:-3:3:4,x2:-3:3:4,x3:-3:3:4", "--out", out]) == 0
-        outs.append(open(out, "rb").read())
+        with open(out, "rb") as fh:
+            outs.append(fh.read())
     assert outs[0] == outs[1]
 
 
@@ -495,8 +495,11 @@ def _mixture_text(*components):
     ("kind squeezed\nspins 3\nbeta nan 0\n", "volume", [], 1, "beta"),
     ("kind raw\nspins 1\namp 1 0\namp 0 1e400\n", "volume", [], 1, "raw state"),
     ("kind cat\nspins 3\n", "plane4d", ["--fix", "q2=nan"], 1, "--fix q2"),
+    ("kind cat\nspins 3\n", "plane4d", ["--fix", "q2=0.5,q2=-0.5"], 1, "--fix: 'q2'"),
     ("kind cat\nspins 3\n", "check", ["--tolerance", "norm=-1"], 1, "tolerance norm"),
     (None, "check", ["--tolerance", "trace=nan"], 1, "tolerance trace"),
+    ("kind cat\nspins 3\n", "check", ["--tolerance", "fiber=1e-30,fiber=1"], 1,
+     "--tolerance: 'fiber'"),
     ("kind cat\nspins 3\n", "check", ["--samples", "2.5"], 1, "--samples"),
     ("kind cat\nspins 3\n", "check", ["--samples", "0"], 1, "--samples"),
     ("kind cat\nspins 2\nspins 3\n", "volume", [], 1, "'spins'"),
@@ -508,7 +511,8 @@ def _mixture_text(*components):
      "'component'"),
 ], ids=["component-fock-2.5", "component-coherent-abc", "component-weight-nan",
         "second-component-arity", "excitations-2.5", "spins-empty", "kind-empty", "theta-nan",
-        "beta-nan", "amp-1e400", "fix-nan", "tolerance-negative", "tolerance-trace-nan",
+        "beta-nan", "amp-1e400", "fix-nan", "fix-twice", "tolerance-negative",
+        "tolerance-trace-nan", "tolerance-twice",
         "samples-2.5", "samples-zero", "spins-twice", "theta-twice", "squeezed-key-typo",
         "coherent-amp", "coherent-row", "coherent-component"])
 def test_malformed_input_exits_with_error_line(tmp_path, capsys, text, command, extra,

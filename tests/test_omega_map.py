@@ -120,10 +120,9 @@ def test_omega_norm_preserving_on_outer_shell():
     for n in (2, 3, 4):
         basis = sw.decompose_angular_basis(n)
         om = omega(n)
-        for e in basis.entries:
-            if e.two_l == n:
-                img = om.coefficients @ e.state.amplitudes
-                assert abs(np.linalg.norm(img) - 1.0) <= 1e-10
+        for v in basis.towers(n, 1)[0]:
+            img = om.coefficients @ v
+            assert abs(np.linalg.norm(img) - 1.0) <= 1e-10
 
 
 @dataclass(frozen=True)
@@ -202,10 +201,9 @@ def test_shell_mixing_selects_other_tower():
     assert sw.intertwining_residual(om) <= 1e-10
     g = om.gram()
     assert np.max(np.abs(g @ g - g)) <= 1e-12
-    k0, k1 = (next(e for e in basis.entries if e.two_l == 1 and e.two_m == 1 and e.k == k)
-              for k in (0, 1))
-    assert np.linalg.norm(om.coefficients @ k1.state.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(om.coefficients @ k0.state.amplitudes) <= 1e-12
+    k0, k1 = basis.towers(1, 2)[:, 0]
+    assert np.linalg.norm(om.coefficients @ k1) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(om.coefficients @ k0) <= 1e-12
 
 
 def test_shell_mixing_validation():
@@ -241,8 +239,7 @@ def test_push_singlet_projector():
 
 def test_push_discarded_tower_gives_zero():
     basis = sw.decompose_angular_basis(3)
-    lost = next(e for e in basis.entries if e.two_l == 1 and e.k == 1 and e.two_m == 1)
-    d = push_pure(3, lost.state.amplitudes)
+    d = push_pure(3, basis.towers(1, 2)[1, 0])
     assert np.max(np.abs(d.elements)) <= 1e-13
     assert abs(d.represented_trace) <= 1e-12
 

@@ -227,8 +227,7 @@ def test_sphere_normalization_random_represented_states(n):
     rng = np.random.default_rng(30 + n)
     shell_states = []
     for two_l in (n, n - 2):
-        tower = [e.state.amplitudes for e in basis.entries
-                 if e.k == 0 and e.two_l == two_l]
+        tower = basis.towers(two_l, 1)[0]
         coeff = rng.normal(size=len(tower)) + 1j * rng.normal(size=len(tower))
         coeff /= np.linalg.norm(coeff)
         shell_states.append(sum(c * v for c, v in zip(coeff, tower)))

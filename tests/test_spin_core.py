@@ -101,56 +101,75 @@ def test_capacity_errors():
         sw.decompose_angular_basis(4, max_spins=3)
 
 
+def test_public_names_resolve_once():
+    assert len(sw.__all__) == len(set(sw.__all__))
+    for name in sw.__all__:
+        assert getattr(sw, name) is not None, name
+    assert "BasisEntry" not in sw.__all__ and not hasattr(sw, "BasisEntry")
+
+
+def _labelled(basis):
+    """(k, 2l, 2m, vector) of every basis vector: shells by descending l, then k, then m."""
+    n = basis.n
+    for two_l in range(n, n % 2 - 1, -2):
+        for k, tower in enumerate(basis.towers(two_l, sw.shell_multiplicity(n, two_l))):
+            for step, v in enumerate(tower):
+                yield k, two_l, two_l - 2 * step, v
+
+
+def _shell_counts(basis) -> dict[int, int]:
+    return {two_l: k + 1 for k, two_l, two_m, _ in _labelled(basis) if two_m == two_l}
+
+
 def test_decompose_one_spin_exact():
-    basis = sw.decompose_angular_basis(1)
-    assert [(e.k, e.two_l, e.two_m) for e in basis.entries] == [(0, 1, 1), (0, 1, -1)]
-    assert np.array_equal(basis.entries[0].state.amplitudes, basis_vector(1, 1))
-    assert np.array_equal(basis.entries[1].state.amplitudes, basis_vector(1, 0))
+    entries = list(_labelled(sw.decompose_angular_basis(1)))
+    assert [(k, two_l, two_m) for k, two_l, two_m, _ in entries] == [(0, 1, 1), (0, 1, -1)]
+    assert np.array_equal(entries[0][3], basis_vector(1, 1))
+    assert np.array_equal(entries[1][3], basis_vector(1, 0))
 
 
 def test_decompose_shell_structure():
-    assert sw.decompose_angular_basis(2).shell_multiplicities() == {2: 1, 0: 1}
-    assert sw.decompose_angular_basis(3).shell_multiplicities() == {3: 1, 1: 2}
+    assert _shell_counts(sw.decompose_angular_basis(2)) == {2: 1, 0: 1}
+    assert _shell_counts(sw.decompose_angular_basis(3)) == {3: 1, 1: 2}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_decompose_is_orthonormal_eigenbasis(n):
     basis = sw.decompose_angular_basis(n)
-    assert len(basis.entries) == 2**n
+    entries = list(_labelled(basis))
+    assert len(entries) == 2**n
 
-    u = basis.matrix()
+    u = np.column_stack([v for *_, v in entries])
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) <= 1e-10
 
     s2 = sw.total_spin_squared(n).matrix
     s3 = sw.build_collective_spin(n, 3).matrix
-    for e in basis.entries:
-        v = e.state.amplitudes
-        l, m = e.two_l / 2.0, e.two_m / 2.0
+    for _, two_l, two_m, v in entries:
+        l, m = two_l / 2.0, two_m / 2.0
         assert np.max(np.abs(s2 @ v - l * (l + 1) * v)) <= 1e-10
         assert np.max(np.abs(s3 @ v - m * v)) <= 1e-10
 
-    counts = basis.shell_multiplicities()
+    counts = _shell_counts(basis)
     for two_l, k_count in counts.items():
         assert k_count == sw.shell_multiplicity(n, two_l)
     assert sum(k * (two_l + 1) for two_l, k in counts.items()) == 2**n
 
 
 def test_decompose_deterministic():
-    a = sw.decompose_angular_basis(4)
-    b = sw.decompose_angular_basis(4)
-    for ea, eb in zip(a.entries, b.entries):
-        assert (ea.k, ea.two_l, ea.two_m) == (eb.k, eb.two_l, eb.two_m)
-        assert np.array_equal(ea.state.amplitudes, eb.state.amplitudes)
+    a = _labelled(sw.decompose_angular_basis(4))
+    b = _labelled(sw.decompose_angular_basis(4))
+    for (*la, va), (*lb, vb) in zip(a, b):
+        assert la == lb
+        assert np.array_equal(va, vb)
 
 
 def test_decompose_phase_convention():
     # every highest-weight vector has its lexicographically first nonzero
     # amplitude real positive ("up" string order = descending index)
     for n in (2, 3, 4):
-        for e in sw.decompose_angular_basis(n).entries:
-            if e.two_m != e.two_l:
+        for _, two_l, two_m, amps in _labelled(sw.decompose_angular_basis(n)):
+            if two_m != two_l:
                 continue
-            amps = e.state.amplitudes
             for idx in range(2**n - 1, -1, -1):
                 if abs(amps[idx]) > 1e-12:
                     assert amps[idx].real > 0

@@ -52,9 +52,7 @@ def test_structured_push_matches_dense_reference(n):
 def _cross_shell_pair(n):
     """Unit vectors a (top of the outer shell) and b (top of the next shell)."""
     basis = sw.decompose_angular_basis(n)
-    a, b = (next(e for e in basis.entries if e.k == 0 and e.two_l == two_l and e.two_m == two_l)
-            for two_l in (n, n - 2))
-    return a.state.amplitudes, b.state.amplitudes
+    return basis.towers(n, 1)[0, 0], basis.towers(n - 2, 1)[0, 0]
 
 
 def test_mixture_of_non_commuting_components_commutes():
@@ -97,8 +95,10 @@ def test_validators_refuse_non_finite_values():
         for i, j in ((0, 0), (0, 3)):
             rho = np.outer(cat, cat.conj())
             rho[i, j] = bad
-            with pytest.raises(sw.ValidationError):
+            with pytest.raises(sw.ValidationError, match="non-finite entry"):
                 sw.push_density(omega(2), rho)
+            with pytest.raises(sw.ValidationError, match="non-finite entry"):
+                sw.push_operator(omega(2), rho)
 
 def test_cat_realize_and_push_memory():
     # realize + basis + embedding + push at n = 10 holds no 2^n x 2^n matrix;
