@@ -9,7 +9,7 @@ radially onto the sphere (``sphere``). ``states`` builds the standard
 state families and ``cli`` exposes grid evaluation as a command line tool.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (
@@ -34,20 +34,11 @@ from .omega_map import (
     push_density,
     push_operator,
 )
-from .moyal import (
-    PhasePoint4,
-    laguerre,
-    moyal_1d,
-    wigner_4d,
-    wigner_4d_complex,
-    wigner_4d_many,
-)
+from .moyal import laguerre, moyal_1d, wigner_4d_many, wigner_complex_many
 from .reduced_space import (
-    PhasePoint3,
     check_fiber_invariance,
-    hopf_forward,
-    hopf_section,
-    reduced_wigner,
+    hopf_forward_arrays,
+    hopf_section_arrays,
     reduced_wigner_many,
 )
 from .sphere import (
@@ -57,7 +48,6 @@ from .sphere import (
     radial_integral_I,
     sphere_normalization,
     ws_analytic,
-    ws_numeric,
     ws_numeric_many,
 )
 from .states import (
@@ -78,8 +68,6 @@ __all__ = [
     "NumericError",
     "OmegaMap",
     "OscillatorDensity",
-    "PhasePoint3",
-    "PhasePoint4",
     "SphPoint",
     "SpinMixture",
     "SpinOperator",
@@ -94,8 +82,8 @@ __all__ = [
     "decompose_angular_basis",
     "fock_state",
     "fock_states",
-    "hopf_forward",
-    "hopf_section",
+    "hopf_forward_arrays",
+    "hopf_section_arrays",
     "hypergeom_terminating",
     "intertwining_residual",
     "jordan_schwinger",
@@ -109,17 +97,14 @@ __all__ = [
     "radial_integral_I",
     "realize_operator",
     "realize_state",
-    "reduced_wigner",
     "reduced_wigner_many",
     "shell_multiplicity",
     "sphere_normalization",
     "spin_coherent",
     "squeezed_state",
     "total_spin_squared",
-    "wigner_4d",
-    "wigner_4d_complex",
     "wigner_4d_many",
+    "wigner_complex_many",
     "ws_analytic",
-    "ws_numeric",
     "ws_numeric_many",
 ]

@@ -306,8 +306,14 @@ def parse_state_text(text: str) -> StateSpec:
 
 
 def load_state_spec(path: str) -> StateSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_state_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"state file {path}: byte {exc.start} "
+                              f"(0x{data[exc.start]:02x}) is not UTF-8") from None
+    return parse_state_text(text)
 
 
 def _push_spec(spec: StateSpec) -> tuple[OscillatorDensity, float]:

@@ -10,6 +10,9 @@ two branches; for n <= n' it reads
 and the opposite ordering is fixed by hermiticity, W_{n n'} = conj W_{n' n}.
 The four-dimensional function of a pushed operator is the double sum of
 matrix elements times products of one-mode Moyal functions, one per mode.
+``wigner_complex_many`` and ``wigner_4d_many`` evaluate it on coordinate
+arrays (0-d scalars included) that broadcast together; a NaN or inf
+coordinate is refused with a ValidationError naming it.
 
 Factorial ratios are taken in log space and the complex monomial is built
 by repeated multiplication, which keeps the axes exactly real/imaginary.
@@ -26,7 +29,6 @@ while memory stays (n + 1)^2 x ``_BLOCK`` entries per mode at any point count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,21 +40,16 @@ _LN2 = math.log(2.0)
 _BLOCK = 4096  # points per kernel block; see the module docstring
 
 
-@dataclass(frozen=True)
-class PhasePoint4:
-    """Point in the two-mode phase space (oscillator natural units)."""
-
-    q1: float
-    p1: float
-    q2: float
-    p2: float
-
-    def __post_init__(self):
-        for name in ("q1", "p1", "q2", "p2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValidationError(f"{name} = {v!r} is not finite")
-            object.__setattr__(self, name, v)
+def _finite(**coords) -> list[np.ndarray]:
+    """Each named coordinate as a float array; a NaN or inf is refused by name."""
+    out = []
+    for name, value in coords.items():
+        a = np.asarray(value, dtype=float)
+        finite = np.isfinite(a)
+        if not finite.all():
+            raise ValidationError(f"{name} = {float(a[~finite][0])!r} is not finite")
+        out.append(a)
+    return out
 
 
 def _laguerre_rows(degree: int, order, x):
@@ -113,7 +110,7 @@ def wigner_complex_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarra
     For Hermitian densities the result is real up to roundoff; general
     pushed operators legitimately produce complex values.
     """
-    q1, p1, q2, p2 = np.broadcast_arrays(*(np.asarray(a, float) for a in (q1, p1, q2, p2)))
+    q1, p1, q2, p2 = np.broadcast_arrays(*_finite(q1=q1, p1=p1, q2=q2, p2=p2))
     width = density.n + 1
     states = np.array(fock_states(density.n))
     rows, cols = np.nonzero(density.elements)
@@ -152,13 +149,3 @@ def wigner_4d_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarray:
             "the pushed operator is not Hermitian"
         )
     return vals.real
-
-
-def wigner_4d(density: OscillatorDensity, pt: PhasePoint4) -> float:
-    """Wigner function of a pushed Hermitian operator at one point."""
-    return float(wigner_4d_many(density, pt.q1, pt.p1, pt.q2, pt.p2))
-
-
-def wigner_4d_complex(density: OscillatorDensity, pt: PhasePoint4) -> complex:
-    """Complex-valued variant for non-Hermitian pushed operators."""
-    return complex(wigner_complex_many(density, pt.q1, pt.p1, pt.q2, pt.p2))

@@ -162,7 +162,10 @@ def construct_omega(basis: AngularBasis,
     for two_l, u in (shell_mixing or {}).items():
         u = np.asarray(u, dtype=complex)
         d = shell_multiplicity(n, two_l)
-        if d == 0 or u.shape != (d, d) or np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-12:
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf is refused below
+            unitary = (d > 0 and u.shape == (d, d)
+                       and np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-12)
+        if not unitary:
             raise ValidationError(f"shell_mixing[{two_l}] is not a unitary on the shell's "
                                   f"{d} towers")
         mixing[two_l] = u

@@ -9,17 +9,20 @@ Operators compatible with the reduction are exactly those commuting with
 total spin squared; their Wigner function is constant along the circular
 fibers of the contraction, so any section point represents the fiber. The
 canonical section below takes z1 real non-negative.
+
+Both maps, ``hopf_forward_arrays`` and ``hopf_section_arrays``, act
+elementwise on coordinate arrays (0-d scalars included) and refuse a NaN
+or inf coordinate by name, which covers ``reduced_wigner_many`` too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .moyal import PhasePoint4, wigner_complex_many, wigner_4d_many
+from .moyal import _finite, wigner_complex_many, wigner_4d_many
 from .omega_map import S2_COMMUTE_TOL, OscillatorDensity
 
 _SECTION_EPS = 1e-12
@@ -27,40 +30,16 @@ _FIBER_SEED = 0
 _FIBER_RADIUS = 1.5
 
 
-@dataclass(frozen=True)
-class PhasePoint3:
-    """Point in the reduced three-dimensional space."""
-
-    x1: float
-    x2: float
-    x3: float
-
-    def __post_init__(self):
-        for name in ("x1", "x2", "x3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValidationError(f"{name} = {v!r} is not finite")
-            object.__setattr__(self, name, v)
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(self.x1**2 + self.x2**2 + self.x3**2)
-
-
 def hopf_forward_arrays(q1, p1, q2, p2):
     """Pauli contraction of (q1 + i p1, q2 + i p2), elementwise."""
-    z1 = np.asarray(q1, float) + 1j * np.asarray(p1, float)
-    z2 = np.asarray(q2, float) + 1j * np.asarray(p2, float)
+    q1, p1, q2, p2 = _finite(q1=q1, p1=p1, q2=q2, p2=p2)
+    z1 = q1 + 1j * p1
+    z2 = q2 + 1j * p2
     cross = z1.conj() * z2
     x1 = 2.0 * cross.real
     x2 = 2.0 * cross.imag
     x3 = (z1.conj() * z1 - z2.conj() * z2).real
     return x1, x2, x3
-
-
-def hopf_forward(pt: PhasePoint4) -> PhasePoint3:
-    x1, x2, x3 = hopf_forward_arrays(pt.q1, pt.p1, pt.q2, pt.p2)
-    return PhasePoint3(float(x1), float(x2), float(x3))
 
 
 def hopf_section_arrays(x1, x2, x3):
@@ -74,9 +53,7 @@ def hopf_section_arrays(x1, x2, x3):
     axis snap onto it, where the limit z1 = 0, z2 = sqrt(r) applies; the
     switch is invisible for fiber-constant integrands.
     """
-    x1 = np.asarray(x1, float)
-    x2 = np.asarray(x2, float)
-    x3 = np.asarray(x3, float)
+    x1, x2, x3 = _finite(x1=x1, x2=x2, x3=x3)
     t2 = x1 * x1 + x2 * x2
     r = np.sqrt(t2 + x3 * x3)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -91,11 +68,6 @@ def hopf_section_arrays(x1, x2, x3):
     return q1, p1, z2.real, z2.imag
 
 
-def hopf_section(pt3: PhasePoint3) -> PhasePoint4:
-    q1, p1, q2, p2 = hopf_section_arrays(pt3.x1, pt3.x2, pt3.x3)
-    return PhasePoint4(float(q1), float(p1), float(q2), float(p2))
-
-
 def _require_commuting(density: OscillatorDensity) -> None:
     if not density.commutes_with_s2:
         raise ValidationError(
@@ -107,14 +79,9 @@ def _require_commuting(density: OscillatorDensity) -> None:
 
 
 def reduced_wigner_many(density: OscillatorDensity, x1, x2, x3) -> np.ndarray:
-    """Reduced function on arrays of R^3 points."""
+    """Reduced function on arrays of R^3 points; refuses non-reducible operators."""
     _require_commuting(density)
     return wigner_4d_many(density, *hopf_section_arrays(x1, x2, x3))
-
-
-def reduced_wigner(density: OscillatorDensity, pt3: PhasePoint3) -> float:
-    """Reduced function at one point; refuses non-reducible operators."""
-    return float(reduced_wigner_many(density, pt3.x1, pt3.x2, pt3.x3))
 
 
 def check_fiber_invariance(density: OscillatorDensity, samples: int) -> float:

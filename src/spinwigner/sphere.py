@@ -16,6 +16,10 @@ the radial factor is
 
 computed without quadrature. Coherences between different shells have no
 closed form here and are refused by the analytic route.
+
+``ws_numeric_many`` takes arrays of angles (0-d scalars included) and
+refuses a NaN or inf angle by name; ``ws_analytic`` takes one ``SphPoint``
+at a time, which checks its own angles.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .omega_map import OscillatorDensity, fock_states
-from .moyal import wigner_complex_many, wigner_4d_many
+from .moyal import _finite, wigner_complex_many, wigner_4d_many
 from .reduced_space import _require_commuting, hopf_section_arrays
 
 _IMAG_TOL = 1e-10
@@ -90,9 +94,7 @@ def ws_numeric_many(density: OscillatorDensity, theta, phi, nodes: int | None = 
         )
     if not force_section:
         _require_commuting(density)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    theta, phi = np.broadcast_arrays(theta, phi)
+    theta, phi = np.broadcast_arrays(*_finite(theta=theta, phi=phi))
     r, w = _gauss_laguerre(nodes)
     st = np.sin(theta)[..., None]
     nx = st * np.cos(phi)[..., None]
@@ -108,13 +110,6 @@ def ws_numeric_many(density: OscillatorDensity, theta, phi, nodes: int | None = 
         vals = wigner_4d_many(density, q1, p1, q2, p2)
     radial = w * np.exp(r) * r
     return (math.pi / 4.0) * np.sum(vals * radial, axis=-1)
-
-
-def ws_numeric(density: OscillatorDensity, pt: SphPoint, nodes: int | None = None, *,
-               force_section: bool = False) -> float:
-    """Spherical function at one direction by radial quadrature."""
-    return float(ws_numeric_many(density, pt.theta, pt.phi, nodes,
-                                 force_section=force_section))
 
 
 def _gauss_series_exact(neg_int_a: int, b: Fraction, c: Fraction, x: Fraction) -> Fraction:

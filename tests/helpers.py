@@ -116,8 +116,8 @@ def hermite_functions(nmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _oracle_eval(density: sw.OscillatorDensity, pt: sw.PhasePoint4, half_width: float,
-                 points: int) -> complex:
+def _oracle_eval(density: sw.OscillatorDensity, q1: float, p1: float, q2: float, p2: float,
+                 half_width: float, points: int) -> complex:
     """Trapezoid evaluation of the defining phase-space integral.
 
     The integrand factorizes mode by mode, so the tensor-grid double
@@ -137,8 +137,8 @@ def _oracle_eval(density: sw.OscillatorDensity, pt: sw.PhasePoint4, half_width: 
         # entry [ket, bra]: integral of psi_bra(q - y) psi_ket(q + y) e^{2ipy} / pi
         return np.einsum("ay,by,y->ba", minus, plus, phase) / math.pi
 
-    i1 = mode_integrals(pt.q1, pt.p1)
-    i2 = mode_integrals(pt.q2, pt.p2)
+    i1 = mode_integrals(q1, p1)
+    i2 = mode_integrals(q2, p2)
     total = 0.0 + 0.0j
     rows, cols = np.nonzero(density.elements)
     for f, g in zip(rows, cols):
@@ -148,8 +148,8 @@ def _oracle_eval(density: sw.OscillatorDensity, pt: sw.PhasePoint4, half_width: 
     return complex(total)
 
 
-def oracle_wigner_integral(density: sw.OscillatorDensity, pt: sw.PhasePoint4, *,
-                           initial_points: int = 65, max_refinements: int = 6,
+def oracle_wigner_integral(density: sw.OscillatorDensity, q1: float, p1: float, q2: float,
+                           p2: float, *, initial_points: int = 65, max_refinements: int = 6,
                            tol: float = 1e-7) -> float:
     """Wigner value by direct numerical integration; a test oracle.
 
@@ -166,7 +166,7 @@ def oracle_wigner_integral(density: sw.OscillatorDensity, pt: sw.PhasePoint4, *,
     points = initial_points
     prev = None
     for _ in range(max_refinements + 1):
-        val = _oracle_eval(density, pt, half_width, points)
+        val = _oracle_eval(density, q1, p1, q2, p2, half_width, points)
         if prev is not None and abs(val - prev) <= tol:
             return val.real
         prev = val

@@ -6,8 +6,8 @@ Tolerances are pinned here and nowhere else.
 
 import math
 import time
+from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
@@ -153,7 +153,7 @@ def test_criterion_05_nonreducible_operator():
     for q1, p1, q2, p2 in pts:
         r = q1 * q1 + p1 * p1 + q2 * q2 + p2 * p2
         expect = math.sqrt(2.0) / math.pi**2 * math.exp(-r) * (q1 - 1j * p1) ** 2
-        got = sw.wigner_4d_complex(d, sw.PhasePoint4(q1, p1, q2, p2))
+        got = complex(sw.wigner_complex_many(d, q1, p1, q2, p2))
         assert abs(got.real - expect.real) <= 1e-10
     assert sw.check_fiber_invariance(d, 100) > 1e-3
     _report(5, "coherence operator matches its closed form; fiber invariance broken", started)
@@ -172,33 +172,33 @@ def test_criterion_06_oracle_equivalence():
         for vec in states:
             d = push_pure(n, np.asarray(vec))
             for _ in range(20):
-                pt = sw.PhasePoint4(*rng.uniform(-2.5, 2.5, size=4))
-                assert abs(sw.wigner_4d(d, pt)
-                           - oracle_wigner_integral(d, pt)) <= 1e-6
+                pt = rng.uniform(-2.5, 2.5, size=4)
+                assert abs(float(sw.wigner_4d_many(d, *pt))
+                           - oracle_wigner_integral(d, *pt)) <= 1e-6
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     _report(6, "Moyal sums match the defining integral at 20 points per state, n <= 3", started)
 
 
-def _laguerre_mp(n, a, x):
-    prev = mp.mpf(1)
-    if n == 0:
-        return prev
-    cur = 1 + a - x
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2 * k - 1 + a - x) * cur - (k - 1 + a) * prev) / k
-    return cur
+def _laguerre_coefficients(n, alpha, scale):
+    """Exact monomial coefficients of L_n^alpha(scale * r) in r."""
+    return [Fraction((-1) ** k * math.comb(n + alpha, n - k), math.factorial(k)) * scale**k
+            for k in range(n + 1)]
 
 
-def _radial_integral_quadrature(i, j, alpha, c):
-    """Adaptive quadrature of the defining radial integral, in high precision
-    so the 1e-9 absolute comparison is meaningful at magnitudes ~ 1e5."""
-    with mp.workdps(25):
-        cc = mp.mpf(c)
-        f = lambda rr: (mp.exp(-rr) * rr ** (1 + alpha)
-                        * _laguerre_mp(j, alpha, (1 + cc) * rr)
-                        * _laguerre_mp(i, alpha, (1 - cc) * rr))
-        return float(mp.quad(f, [0, 20, mp.inf]))
+def _radial_integral_exact(i, j, alpha, c):
+    """The defining radial integral in exact rationals, rounded once.
+
+    Both Laguerre factors are expanded into monomials of r with c taken as
+    the exact value of the float, and each term integrates by
+    integral_0^inf exp(-r) r^k dr = k!; no Gauss series is involved.
+    """
+    cf = Fraction(c)
+    total = Fraction(0)
+    for k, a in enumerate(_laguerre_coefficients(j, alpha, 1 + cf)):
+        for m, b in enumerate(_laguerre_coefficients(i, alpha, 1 - cf)):
+            total += a * b * math.factorial(k + m + 1 + alpha)
+    return float(total)
 
 
 def test_criterion_07_radial_integrals_and_analytic_sphere():
@@ -208,7 +208,7 @@ def test_criterion_07_radial_integrals_and_analytic_sphere():
             for alpha in range(5):
                 for c in (-0.9, -0.3, 0.0, 0.3, 0.9):
                     closed = sw.radial_integral_I(i, j, alpha, c)
-                    assert abs(closed - _radial_integral_quadrature(i, j, alpha, c)) <= 1e-9
+                    assert abs(closed - _radial_integral_exact(i, j, alpha, c)) <= 1e-9
 
     # closed-form spherical function against radial quadrature for every
     # outer-shell basis operator; coherences are probed through their
@@ -231,7 +231,7 @@ def test_criterion_07_radial_integrals_and_analytic_sphere():
                     numeric = sw.ws_numeric_many(d, tt.ravel(), pp.ravel())
                     for pt, ref in zip(points, numeric):
                         assert abs(sw.ws_analytic(lm, pt) - ref) <= 1e-8
-    _report(7, "radial closed forms within 1e-9 of quadrature; "
+    _report(7, "radial closed forms within 1e-9 of exact monomial integration; "
                "spherical closed forms within 1e-8 of radial quadrature, n <= 5", started)
 
 

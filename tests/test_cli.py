@@ -55,7 +55,7 @@ MIXTURE5 = (
 
 def _state_file(tmp_path, text, name="state.txt"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return str(path)
 
 
@@ -509,12 +509,13 @@ def _mixture_text(*components):
     ("kind coherent\nspins 1\ntheta 0\nphi 0\nrow 1,0 0,0\n", "volume", [], 1, "'row'"),
     ("kind coherent\nspins 3\ntheta 0\nphi 0\ncomponent 1 cat\n", "check", [], 1,
      "'component'"),
+    (b"kind cat\nspins 3\n# caf\xff\n", "volume", [], 1, "state.txt: byte 22 (0xff) is not UTF-8"),
 ], ids=["component-fock-2.5", "component-coherent-abc", "component-weight-nan",
         "second-component-arity", "excitations-2.5", "spins-empty", "kind-empty", "theta-nan",
         "beta-nan", "amp-1e400", "fix-nan", "fix-twice", "tolerance-negative",
         "tolerance-trace-nan", "tolerance-twice",
         "samples-2.5", "samples-zero", "spins-twice", "theta-twice", "squeezed-key-typo",
-        "coherent-amp", "coherent-row", "coherent-component"])
+        "coherent-amp", "coherent-row", "coherent-component", "state-not-utf8"])
 def test_malformed_input_exits_with_error_line(tmp_path, capsys, text, command, extra,
                                                code, names):
     # the discarded-tower state fails its trace check, so a NaN tolerance

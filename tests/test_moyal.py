@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from spinwigner.omega_map import OscillatorDensity
 
 from helpers import (basis_vector, fock_index, nonreducible_two_spin_operator, omega,
                      oracle_wigner_integral, push_pure, reference_moyal_1d,
-                     reference_wigner_complex_many, state_families)
+                     reference_wigner_complex_many, singlet_vector, state_families)
 
 
 def test_laguerre_hand_values():
@@ -98,17 +99,17 @@ def test_moyal_orthogonality():
 
 def test_wigner_up_state_origin():
     d = push_pure(1, basis_vector(1, 1))
-    assert sw.wigner_4d(d, sw.PhasePoint4(0, 0, 0, 0)) == pytest.approx(-1.0 / math.pi**2, abs=1e-14)
+    assert float(sw.wigner_4d_many(d, 0, 0, 0, 0)) == pytest.approx(-1.0 / math.pi**2, abs=1e-14)
 
 
 def test_wigner_nonreducible_operator_closed_form():
     d = sw.push_operator(omega(2), nonreducible_two_spin_operator())
-    val = sw.wigner_4d_complex(d, sw.PhasePoint4(1.0, 0.0, 0.0, 0.0))
+    val = complex(wigner_complex_many(d, 1.0, 0.0, 0.0, 0.0))
     assert val == pytest.approx(math.sqrt(2.0) / math.pi**2 * math.exp(-1.0), abs=1e-14)
     q1, p1, q2, p2 = 0.4, -0.8, 1.1, 0.25
     r = q1 * q1 + p1 * p1 + q2 * q2 + p2 * p2
     expect = math.sqrt(2.0) / math.pi**2 * math.exp(-r) * (q1 - 1j * p1) ** 2
-    got = sw.wigner_4d_complex(d, sw.PhasePoint4(q1, p1, q2, p2))
+    got = complex(wigner_complex_many(d, q1, p1, q2, p2))
     assert got == pytest.approx(expect, abs=1e-14)
 
 
@@ -123,22 +124,46 @@ def test_wigner_zero_density():
 def test_wigner_rejects_non_hermitian():
     d = sw.push_operator(omega(2), nonreducible_two_spin_operator())
     with pytest.raises(sw.NumericError):
-        sw.wigner_4d(d, sw.PhasePoint4(0.4, -0.8, 1.1, 0.25))
+        sw.wigner_4d_many(d, 0.4, -0.8, 1.1, 0.25)
 
 
 def test_phase_point_validation():
-    with pytest.raises(sw.ValidationError):
-        sw.PhasePoint4(0.0, math.inf, 0.0, 0.0)
-    with pytest.raises(sw.ValidationError):
-        sw.PhasePoint3(math.nan, 0.0, 0.0)
+    d = push_pure(1, basis_vector(1, 1))
+    with pytest.raises(sw.ValidationError, match="p1 = inf is not finite"):
+        sw.wigner_4d_many(d, 0.0, math.inf, 0.0, 0.0)
+    with pytest.raises(sw.ValidationError, match="x1 = nan is not finite"):
+        sw.reduced_wigner_many(d, math.nan, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_array_api_refuses_non_finite_coordinates(bad):
+    d = push_pure(2, singlet_vector())
+    evaluators = {
+        "wigner_complex_many": (lambda *c: wigner_complex_many(d, *c), ("q1", "p1", "q2", "p2")),
+        "wigner_4d_many": (lambda *c: sw.wigner_4d_many(d, *c), ("q1", "p1", "q2", "p2")),
+        "reduced_wigner_many": (lambda *c: sw.reduced_wigner_many(d, *c), ("x1", "x2", "x3")),
+        "ws_numeric_many": (lambda *c: sw.ws_numeric_many(d, *c), ("theta", "phi")),
+        "hopf_forward_arrays": (sw.hopf_forward_arrays, ("q1", "p1", "q2", "p2")),
+        "hopf_section_arrays": (sw.hopf_section_arrays, ("x1", "x2", "x3")),
+    }
+    for evaluate, args in evaluators.values():
+        for k, arg in enumerate(args):
+            for value in (bad, np.array([0.5, bad, 1.0])):
+                coords = [np.full(3, 0.25) for _ in args]
+                coords[k] = value
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # refused before any arithmetic
+                    with pytest.raises(sw.ValidationError,
+                                       match=f"^{arg} = {bad!r} is not finite$"):
+                        evaluate(*coords)
 
 
 def test_oracle_matches_moyal_sum_one_spin():
     d = push_pure(1, basis_vector(1, 1))
     rng = np.random.default_rng(20)
     for _ in range(20):
-        pt = sw.PhasePoint4(*rng.uniform(-2.5, 2.5, size=4))
-        assert abs(sw.wigner_4d(d, pt) - oracle_wigner_integral(d, pt)) <= 1e-6
+        pt = rng.uniform(-2.5, 2.5, size=4)
+        assert abs(float(sw.wigner_4d_many(d, *pt)) - oracle_wigner_integral(d, *pt)) <= 1e-6
 
 
 def test_oracle_ground_state_origin():
@@ -146,19 +171,17 @@ def test_oracle_ground_state_origin():
     e = np.zeros((size, size), dtype=complex)
     e[fock_index(1)[(0, 0)], fock_index(1)[(0, 0)]] = 1.0
     d = OscillatorDensity.from_fock_elements(1, e)
-    val = oracle_wigner_integral(d, sw.PhasePoint4(0, 0, 0, 0))
+    val = oracle_wigner_integral(d, 0, 0, 0, 0)
     assert val == pytest.approx(1.0 / math.pi**2, abs=1e-8)
 
 
 def test_oracle_singlet_gaussian():
-    from helpers import singlet_vector
-
     d = push_pure(2, singlet_vector())
     rng = np.random.default_rng(21)
     for _ in range(5):
         q1, p1, q2, p2 = rng.uniform(-1.5, 1.5, size=4)
         r = q1 * q1 + p1 * p1 + q2 * q2 + p2 * p2
-        val = oracle_wigner_integral(d, sw.PhasePoint4(q1, p1, q2, p2))
+        val = oracle_wigner_integral(d, q1, p1, q2, p2)
         assert val == pytest.approx(math.exp(-r) / math.pi**2, abs=1e-7)
 
 
@@ -166,15 +189,14 @@ def test_oracle_five_excitation_support():
     d = push_pure(5, sw.fock_state(5, 2).amplitudes)
     rng = np.random.default_rng(22)
     for _ in range(4):
-        pt = sw.PhasePoint4(*rng.uniform(-2.0, 2.0, size=4))
-        assert abs(sw.wigner_4d(d, pt) - oracle_wigner_integral(d, pt)) <= 1e-6
+        pt = rng.uniform(-2.0, 2.0, size=4)
+        assert abs(float(sw.wigner_4d_many(d, *pt)) - oracle_wigner_integral(d, *pt)) <= 1e-6
 
 
 def test_oracle_reports_non_convergence():
     d = push_pure(1, basis_vector(1, 1))
     with pytest.raises(sw.NumericError, match="converge"):
-        oracle_wigner_integral(d, sw.PhasePoint4(0.5, 0.1, 0.0, 0.0),
-                               initial_points=5, max_refinements=0)
+        oracle_wigner_integral(d, 0.5, 0.1, 0.0, 0.0, initial_points=5, max_refinements=0)
 
 
 def _kernel_families(n):

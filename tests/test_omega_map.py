@@ -210,6 +210,10 @@ def test_shell_mixing_validation():
     basis = sw.decompose_angular_basis(3)
     with pytest.raises(sw.ValidationError):
         sw.construct_omega(basis, shell_mixing={1: np.array([[1.0, 1.0], [0.0, 1.0]])})
+    # a NaN or inf residual must not compare as within tolerance
+    for bad in (np.nan, np.inf, 1e200):
+        with pytest.raises(sw.ValidationError, match=r"shell_mixing\[1\] is not a unitary"):
+            sw.construct_omega(basis, shell_mixing={1: np.array([[bad, 0.0], [0.0, 1.0]])})
 
 
 def test_shell_mixing_must_match_the_shell():

@@ -20,37 +20,37 @@ PAULI = (
 
 
 def test_hopf_forward_poles_and_equator():
-    assert sw.hopf_forward(sw.PhasePoint4(1, 0, 0, 0)) == sw.PhasePoint3(0, 0, 1)
-    assert sw.hopf_forward(sw.PhasePoint4(0, 0, 1, 0)) == sw.PhasePoint3(0, 0, -1)
+    assert hopf_forward_arrays(1, 0, 0, 0) == (0, 0, 1)
+    assert hopf_forward_arrays(0, 0, 1, 0) == (0, 0, -1)
     # derived by direct Pauli contraction with z = (1, 1)
-    pt = sw.hopf_forward(sw.PhasePoint4(1, 0, 1, 0))
+    pt = hopf_forward_arrays(1, 0, 1, 0)
     z = np.array([1.0, 1.0], dtype=complex)
     expect = [float((z.conj() @ (s @ z)).real) for s in PAULI]
-    assert (pt.x1, pt.x2, pt.x3) == tuple(expect) == (2.0, 0.0, 0.0)
+    assert pt == tuple(expect) == (2.0, 0.0, 0.0)
 
 
 @settings(max_examples=80, deadline=None)
 @given(q1=st.floats(-4, 4), p1=st.floats(-4, 4), q2=st.floats(-4, 4), p2=st.floats(-4, 4))
 def test_hopf_radius_is_squared_4d_radius(q1, p1, q2, p2):
-    pt = sw.hopf_forward(sw.PhasePoint4(q1, p1, q2, p2))
+    x = hopf_forward_arrays(q1, p1, q2, p2)
     r4 = q1 * q1 + p1 * p1 + q2 * q2 + p2 * p2
-    assert pt.r == pytest.approx(r4, rel=1e-12, abs=1e-12)
+    assert float(np.linalg.norm(x)) == pytest.approx(r4, rel=1e-12, abs=1e-12)
 
 
 def test_hopf_section_special_points():
-    assert sw.hopf_section(sw.PhasePoint3(0, 0, 1)) == sw.PhasePoint4(1, 0, 0, 0)
-    assert sw.hopf_section(sw.PhasePoint3(0, 0, 0)) == sw.PhasePoint4(0, 0, 0, 0)
-    south = sw.hopf_section(sw.PhasePoint3(0, 0, -1))
-    assert (south.q1, south.p1) == (0.0, 0.0)
-    assert south.q2 * south.q2 + south.p2 * south.p2 == pytest.approx(1.0, abs=1e-14)
+    assert hopf_section_arrays(0, 0, 1) == (1, 0, 0, 0)
+    assert hopf_section_arrays(0, 0, 0) == (0, 0, 0, 0)
+    q1, p1, q2, p2 = hopf_section_arrays(0, 0, -1)
+    assert (q1, p1) == (0.0, 0.0)
+    assert q2 * q2 + p2 * p2 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_hopf_section_equator_balances_modes():
-    pt = sw.hopf_section(sw.PhasePoint3(2, 0, 0))
-    assert pt.q1**2 + pt.p1**2 == pytest.approx(1.0, abs=1e-12)
-    assert pt.q2**2 + pt.p2**2 == pytest.approx(1.0, abs=1e-12)
-    back = sw.hopf_forward(pt)
-    assert (back.x1, back.x2, back.x3) == pytest.approx((2.0, 0.0, 0.0), abs=1e-12)
+    q1, p1, q2, p2 = hopf_section_arrays(2, 0, 0)
+    assert q1**2 + p1**2 == pytest.approx(1.0, abs=1e-12)
+    assert q2**2 + p2**2 == pytest.approx(1.0, abs=1e-12)
+    back = hopf_forward_arrays(q1, p1, q2, p2)
+    assert back == pytest.approx((2.0, 0.0, 0.0), abs=1e-12)
 
 
 @settings(max_examples=120, deadline=None)
@@ -65,21 +65,21 @@ def test_hopf_section_round_trip(x1, x2, x3):
 def test_reduced_one_spin_up_closed_form():
     # -(1/pi^2) exp(-r) L_1(x3 + r), with r the squared 4D radius
     d = push_pure(1, basis_vector(1, 1))
-    assert sw.reduced_wigner(d, sw.PhasePoint3(0, 0, 0)) == pytest.approx(
+    assert float(sw.reduced_wigner_many(d, 0, 0, 0)) == pytest.approx(
         -1.0 / math.pi**2, abs=1e-14)
     rng = np.random.default_rng(2)
     for _ in range(25):
         x = rng.uniform(-3, 3, size=3)
         r = float(np.linalg.norm(x))
         expect = -math.exp(-r) / math.pi**2 * (1.0 - (x[2] + r))
-        assert sw.reduced_wigner(d, sw.PhasePoint3(*x)) == pytest.approx(expect, abs=1e-12)
+        assert float(sw.reduced_wigner_many(d, *x)) == pytest.approx(expect, abs=1e-12)
 
 
 def test_reduced_singlet_radial():
     d = push_pure(2, singlet_vector())
     for x in ((2.0, 0.0, 0.0), (0.0, 0.0, 2.0), (-1.2, 1.0, 0.8)):
         r = float(np.linalg.norm(x))
-        assert sw.reduced_wigner(d, sw.PhasePoint3(*x)) == pytest.approx(
+        assert float(sw.reduced_wigner_many(d, *x)) == pytest.approx(
             math.exp(-r) / math.pi**2, abs=1e-12)
 
 
@@ -97,7 +97,7 @@ def test_reduced_outer_shell_product_state():
 def test_reduced_refuses_nonreducible():
     d = sw.push_operator(omega(2), nonreducible_two_spin_operator())
     with pytest.raises(sw.ValidationError, match="commute"):
-        sw.reduced_wigner(d, sw.PhasePoint3(1.0, 0.0, 0.0))
+        sw.reduced_wigner_many(d, 1.0, 0.0, 0.0)
 
 
 def test_wigner_constant_on_fibers_for_reducible():

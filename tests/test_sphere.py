@@ -16,7 +16,7 @@ from helpers import basis_vector, fock_index, omega, push_pure, singlet_vector
 def test_ws_singlet_is_uniform():
     d = push_pure(2, singlet_vector())
     for th, ph in ((0.0, 0.0), (1.1, 2.2), (math.pi / 2, 4.0), (math.pi, 0.3)):
-        assert sw.ws_numeric(d, sw.SphPoint(th, ph)) == pytest.approx(
+        assert float(sw.ws_numeric_many(d, th, ph)) == pytest.approx(
             1.0 / (4.0 * math.pi), abs=1e-12)
 
 
@@ -26,7 +26,7 @@ def test_ws_one_spin_closed_form():
     d = push_pure(1, basis_vector(1, 1))
     for th in (0.0, 0.7, math.pi / 2, 2.5):
         expect = (1.0 + 2.0 * math.cos(th)) / (4.0 * math.pi)
-        assert sw.ws_numeric(d, sw.SphPoint(th, 1.0)) == pytest.approx(expect, abs=1e-12)
+        assert float(sw.ws_numeric_many(d, th, 1.0)) == pytest.approx(expect, abs=1e-12)
 
 
 def test_ws_plus_state_peaks_on_equator():
@@ -44,14 +44,14 @@ def test_ws_plus_state_peaks_on_equator():
 def test_ws_zero_density():
     size = len(sw.fock_states(2))
     d = sw.OscillatorDensity.from_fock_elements(2, np.zeros((size, size)))
-    assert sw.ws_numeric(d, sw.SphPoint(1.0, 1.0)) == 0.0
+    assert float(sw.ws_numeric_many(d, 1.0, 1.0)) == 0.0
 
 
 def test_ws_refuses_too_few_nodes():
     d = push_pure(2, singlet_vector())
     with pytest.raises(sw.ValidationError):
-        sw.ws_numeric(d, sw.SphPoint(1.0, 1.0), nodes=3)
-    assert sw.ws_numeric(d, sw.SphPoint(1.0, 1.0), nodes=4) == pytest.approx(
+        sw.ws_numeric_many(d, 1.0, 1.0, nodes=3)
+    assert float(sw.ws_numeric_many(d, 1.0, 1.0, nodes=4)) == pytest.approx(
         1.0 / (4.0 * math.pi), abs=1e-12)
 
 
@@ -172,7 +172,7 @@ def test_ws_analytic_matches_numeric_three_spins_all_shells():
                 lm = LmDensity.from_density(d)
                 for th, ph in zip(thetas, phis):
                     assert sw.ws_analytic(lm, sw.SphPoint(th, ph)) == pytest.approx(
-                        sw.ws_numeric(d, sw.SphPoint(th, ph)), abs=1e-8)
+                        float(sw.ws_numeric_many(d, th, ph)), abs=1e-8)
 
 
 def test_ws_analytic_diagonal_terms_azimuth_independent():

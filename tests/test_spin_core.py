@@ -105,7 +105,11 @@ def test_public_names_resolve_once():
     assert len(sw.__all__) == len(set(sw.__all__))
     for name in sw.__all__:
         assert getattr(sw, name) is not None, name
-    assert "BasisEntry" not in sw.__all__ and not hasattr(sw, "BasisEntry")
+    removed = ("BasisEntry", "PhasePoint3", "PhasePoint4", "wigner_4d", "wigner_4d_complex",
+               "reduced_wigner", "ws_numeric", "hopf_forward", "hopf_section")
+    for name in removed:
+        assert name not in sw.__all__ and not hasattr(sw, name), name
+    assert {"hopf_forward_arrays", "hopf_section_arrays"} <= set(sw.__all__)
 
 
 def _labelled(basis):
