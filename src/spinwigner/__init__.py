@@ -9,13 +9,12 @@ radially onto the sphere (``sphere``). ``states`` builds the standard
 state families and ``cli`` exposes grid evaluation as a command line tool.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (
     AngularBasis,
     SpinMixture,
-    SpinOperator,
     SpinState,
     build_collective_spin,
     decompose_angular_basis,
@@ -43,7 +42,6 @@ from .reduced_space import (
 )
 from .sphere import (
     LmDensity,
-    SphPoint,
     hypergeom_terminating,
     radial_integral_I,
     sphere_normalization,
@@ -68,9 +66,7 @@ __all__ = [
     "NumericError",
     "OmegaMap",
     "OscillatorDensity",
-    "SphPoint",
     "SpinMixture",
-    "SpinOperator",
     "SpinState",
     "SpinWignerError",
     "StateSpec",

@@ -32,7 +32,8 @@ sample counts) must be exact integers, tolerances must be non-negative,
 ``--fix`` and ``--tolerance`` name each of their keys at most once, and
 ``spins`` must lie in 1..12, checked before anything of size 2^n is built.
 A squeezing ``beta`` that needs over 1,024 Taylor steps, or over 1,000,000
-grid points or samples, is a capacity error. Sphere grids keep theta in [0, pi].
+grid points or samples, is a capacity error. A grid axis whose span hi - lo
+overflows is refused, and sphere grids keep theta in [0, pi].
 
 Exit codes: 0 ok, 1 validation failure, 2 numeric failure, 3 capacity.
 """
@@ -53,7 +54,7 @@ from .moyal import wigner_complex_many
 from .omega_map import OscillatorDensity, construct_omega, push_density, push_operator
 from .reduced_space import check_fiber_invariance, reduced_wigner_many
 from .spin_core import _check_capacity, decompose_angular_basis
-from .sphere import LmDensity, SphPoint, sphere_normalization, ws_analytic, ws_numeric_many
+from .sphere import LmDensity, sphere_normalization, ws_analytic, ws_numeric_many
 from .states import StateSpec, realize_operator
 
 _MAX_GRID_POINTS = 1_000_000
@@ -184,6 +185,8 @@ def parse_grid(kind: str, text: str, fixed_text: str | None = None) -> GridSpec:
         lo, hi = (_number(v, f"grid axis {name!r} bound") for v in pieces[1:3])
         if lo >= hi:
             raise ValidationError(f"grid axis {name!r} needs lo < hi")
+        if not math.isfinite(hi - lo):
+            raise ValidationError(f"grid axis {name!r}: hi - lo is not finite")
         samples = _number(pieces[3], f"grid axis {name!r} samples", int, lo=2)
         axes.append(GridAxis(name, lo, hi, samples))
 
@@ -198,7 +201,8 @@ def parse_grid(kind: str, text: str, fixed_text: str | None = None) -> GridSpec:
             raise ValidationError("--fix applies only to plane4d grids")
         if kind == "sphere":  # every grid point lies between the theta bounds
             for bound in (axes[0].lo, axes[0].hi):
-                SphPoint(bound, 0.0)
+                if not -1e-12 <= bound <= math.pi + 1e-12:
+                    raise ValidationError(f"theta = {bound!r} outside [0, pi]")
     elif kind == "plane4d":
         if len(names) != 2 or len(set(names)) != 2 or not set(names) <= set(_PLANE_AXES):
             raise ValidationError(
@@ -428,8 +432,7 @@ def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
         elif method != "numeric":
             try:
                 lm = LmDensity.from_density(density)
-                analytic = np.array([ws_analytic(lm, SphPoint(t, p))
-                                     for t, p in zip(theta, phi)])
+                analytic = ws_analytic(lm, theta, phi)
             except ValidationError as exc:
                 notes.append(f"analytic route fell back to numeric: {exc}")
         if method != "analytic" or analytic is None:
@@ -483,9 +486,11 @@ def cmd_check(spec: StateSpec, tolerances: dict[str, float] | None = None,
             )
     else:
         notes.append(f"input trace {input_trace:.6f} is not 1; trace check skipped")
-    if not math.isnan(norm) and abs(norm - 1.0) > tol["norm"]:
+    # the sphere integral equals the represented trace by construction
+    if not math.isnan(norm) and abs(norm - density.represented_trace) > tol["norm"]:
         ok = False
-        notes.append(f"sphere normalization {norm!r} outside 1 +- {tol['norm']:.0e}")
+        notes.append(f"sphere normalization {norm!r} differs from the represented trace "
+                     f"{density.represented_trace!r} by more than {tol['norm']:.0e}")
     if not density.commutes_with_s2:
         notes.append(
             f"operator does not commute with total spin squared "

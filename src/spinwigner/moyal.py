@@ -78,10 +78,17 @@ def _moyal_entries(need, q, p):
     """Yield (n, d, W_{n, n+d}(q, p)) for each order d and degree n in need[d].
 
     Each entry is ((pref * zbar^d) * exp(-rho)) * L_n^d(2 rho); one Laguerre
-    recurrence per order runs up to its largest needed degree.
+    recurrence per order runs up to its largest needed degree. Where
+    exp(-rho) underflows to 0, q, p and rho are taken as 0, so a huge finite
+    coordinate gives a zero entry instead of inf * 0.
     """
-    rho = q * q + p * p
-    damp = np.exp(-rho).astype(complex)
+    with np.errstate(over="ignore"):
+        rho = q * q + p * p
+    damp = np.exp(-rho)
+    far = damp == 0.0
+    if np.any(far):  # the entry is 0 there; zero the inputs so nothing overflows
+        q, p, rho = (np.where(far, 0.0, a) for a in (q, p, rho))
+    damp = damp.astype(complex)
     zbar = q - 1j * p
     mono = np.ones_like(q, dtype=complex)
     for d in range(max(need, default=-1) + 1):

@@ -54,15 +54,21 @@ def hopf_section_arrays(x1, x2, x3):
     switch is invisible for fiber-constant integrands.
     """
     x1, x2, x3 = _finite(x1=x1, x2=x2, x3=x3)
+    # points beyond 2^500 are scaled to order 1 so the squares stay finite;
+    # every other point divides by exactly 1.0 and is unchanged
+    scale = np.maximum(np.maximum(np.abs(x1), np.abs(x2)), np.abs(x3))
+    scale = np.where(scale > 2.0**500, scale, 1.0)
+    root = np.sqrt(scale)
+    x1, x2, x3 = x1 / scale, x2 / scale, x3 / scale
     t2 = x1 * x1 + x2 * x2
     r = np.sqrt(t2 + x3 * x3)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(x3 < 0.0, t2 / np.where(r - x3 > 0.0, r - x3, 1.0), r + x3)
     pole = (x3 <= 0.0) & (t2 <= (_SECTION_EPS * (1.0 + r)) ** 2)
-    z1 = np.sqrt(np.where(pole, 0.0, s) / 2.0)
-    safe = np.where(pole, 1.0, 2.0 * np.where(z1 > 0.0, z1, 1.0))
+    z1 = np.sqrt(np.where(pole, 0.0, s) / 2.0) * root
+    safe = np.where(pole, 1.0, 2.0 * np.where(z1 > 0.0, z1, 1.0) / scale)
     z2 = (x1 + 1j * x2) / safe
-    z2 = np.where(pole, np.sqrt(r).astype(complex), z2)
+    z2 = np.where(pole, (np.sqrt(r) * root).astype(complex), z2)
     q1 = z1
     p1 = np.zeros_like(z1)
     return q1, p1, z2.real, z2.imag

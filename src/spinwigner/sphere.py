@@ -17,9 +17,9 @@ the radial factor is
 computed without quadrature. Coherences between different shells have no
 closed form here and are refused by the analytic route.
 
-``ws_numeric_many`` takes arrays of angles (0-d scalars included) and
-refuses a NaN or inf angle by name; ``ws_analytic`` takes one ``SphPoint``
-at a time, which checks its own angles.
+Both routes take angle arrays that broadcast together (0-d scalars
+included) and refuse a NaN or inf angle by name. Any finite (theta, phi)
+names the direction (sin theta cos phi, sin theta sin phi, cos theta).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,27 +38,6 @@ from .reduced_space import _require_commuting, hopf_section_arrays
 
 _IMAG_TOL = 1e-10
 _LM_CUT = 1e-13
-
-
-@dataclass(frozen=True)
-class SphPoint:
-    """Direction on the sphere: polar angle theta, azimuth phi.
-
-    theta must lie in [0, pi]; phi is reduced modulo 2 pi.
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        th = float(self.theta)
-        ph = float(self.phi)
-        if not (math.isfinite(th) and math.isfinite(ph)):
-            raise ValidationError("angles must be finite")
-        if th < -1e-12 or th > math.pi + 1e-12:
-            raise ValidationError(f"theta = {th!r} outside [0, pi]")
-        object.__setattr__(self, "theta", min(max(th, 0.0), math.pi))
-        object.__setattr__(self, "phi", ph % (2.0 * math.pi))
 
 
 @lru_cache(maxsize=32)
@@ -175,13 +154,6 @@ def radial_integral_I(i: int, j: int, alpha: int, c: float) -> float:
     return float(sign * pref * series * bracket)
 
 
-# The radial factor depends on theta alone, and grids sweep phi at fixed
-# theta: each distinct (i, j, alpha, cos theta) is summed in exact
-# arithmetic once. A theta row has at most (n+1)(n+2)(n+3)/6 distinct
-# keys (455 at n = 12), so the bound holds several rows.
-_radial_memo = lru_cache(maxsize=4096)(radial_integral_I)
-
-
 @dataclass(frozen=True)
 class LmDensity:
     """Operator coefficients against the labelled eigenbasis.
@@ -220,32 +192,6 @@ class LmDensity:
                 cross.append((bl, bm, kl, km, v))
         return cls(density.n, tuple(same), tuple(cross))
 
-    @cached_property
-    def _terms(self) -> tuple[tuple[complex, int, int, int, int], ...]:
-        """Point-independent parts of each same-shell closed form.
-
-        Per term: the coefficient v (-1)^(2l) / (4 pi) times the factorial
-        ratio, the sign of the azimuth in its phase, the power dm of that
-        phase, and the indices (i, j) of its radial factor I(i, j, dm; c).
-        """
-        terms = []
-        for two_l, two_m, two_mp, v in self.same_shell:
-            parity = -1.0 if two_l % 2 else 1.0
-            lpm = (two_l + two_m) // 2
-            lmm = (two_l - two_m) // 2
-            lpmp = (two_l + two_mp) // 2
-            lmmp = (two_l - two_mp) // 2
-            if two_m <= two_mp:
-                ratio = math.exp(0.5 * (math.lgamma(lpm + 1) + math.lgamma(lmmp + 1)
-                                        - math.lgamma(lpmp + 1) - math.lgamma(lmm + 1)))
-                term = (-1, (two_mp - two_m) // 2, lmmp, lpm)
-            else:
-                ratio = math.exp(0.5 * (math.lgamma(lpmp + 1) + math.lgamma(lmm + 1)
-                                        - math.lgamma(lpm + 1) - math.lgamma(lmmp + 1)))
-                term = (+1, (two_m - two_mp) // 2, lmm, lpmp)
-            terms.append((v * parity / (4.0 * math.pi) * ratio, *term))
-        return tuple(terms)
-
 
 def _phase_powers(sin_theta: float, phi: float, sign: int, top: int) -> list[complex]:
     """Powers 0..top of -sin(theta) e^(i sign phi), by repeated multiplication."""
@@ -256,12 +202,14 @@ def _phase_powers(sin_theta: float, phi: float, sign: int, top: int) -> list[com
     return out
 
 
-def ws_analytic(lm_density: LmDensity, pt: SphPoint) -> float:
-    """Spherical function from the per-element closed forms.
+def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
+    """Spherical function from the per-element closed forms, on arrays of angles.
 
     Only same-shell terms are supported; cross-shell coherences are refused
     with the offending terms named, so callers can fall back to the numeric
-    route explicitly.
+    route explicitly. The radial factors depend on theta alone and are summed
+    in exact arithmetic once per distinct theta of the call; each point adds
+    its terms in ``same_shell`` order in Python complex arithmetic.
     """
     if lm_density.cross_shell:
         labels = ", ".join(
@@ -275,19 +223,45 @@ def ws_analytic(lm_density: LmDensity, pt: SphPoint) -> float:
             f"no closed spherical form for cross-shell coherences: {labels}; "
             "use the numeric route for these terms"
         )
-    cos_t = math.cos(pt.theta)
-    sin_t = math.sin(pt.theta)
-    # |m - m'| <= 2l <= n bounds every term's phase power
-    powers = {sign: _phase_powers(sin_t, pt.phi, sign, lm_density.n) for sign in (-1, 1)}
-    total = 0.0 + 0.0j
-    for coef, sign, dm, i, j in lm_density._terms:
-        total += coef * powers[sign][dm] * _radial_memo(i, j, dm, cos_t)
-    if abs(total.imag) > _IMAG_TOL:
+    theta, phi = np.broadcast_arrays(*_finite(theta=theta, phi=phi))
+    # Per term: v (-1)^(2l) / (4 pi) times the factorial ratio, the sign of the
+    # azimuth in its phase, the power dm of that phase and the index in ``keys``
+    # of its radial factor I(i, j, dm; c). A term with m > m' is the m < m'
+    # form with the ket and bra occupations (l + m, l - m) swapped.
+    keys: dict[tuple[int, int, int], int] = {}
+    terms = []
+    for two_l, two_m, two_mp, v in lm_density.same_shell:
+        sign = -1 if two_m <= two_mp else 1
+        ket = ((two_l + two_m) // 2, (two_l - two_m) // 2)
+        bra = ((two_l + two_mp) // 2, (two_l - two_mp) // 2)
+        (lpm, lmm), (lpmp, lmmp) = (ket, bra) if sign < 0 else (bra, ket)
+        ratio = math.exp(0.5 * (math.lgamma(lpm + 1) + math.lgamma(lmmp + 1)
+                                - math.lgamma(lpmp + 1) - math.lgamma(lmm + 1)))
+        parity = -1.0 if two_l % 2 else 1.0
+        key = keys.setdefault((lmmp, lpm, lpmp - lpm), len(keys))
+        terms.append((v * parity / (4.0 * math.pi) * ratio, sign, lpmp - lpm, key))
+    phis = phi.ravel().tolist()
+    values = np.empty(theta.size, dtype=complex)
+    thetas, inverse, counts = np.unique(theta, return_inverse=True, return_counts=True)
+    order = np.argsort(inverse.ravel(), kind="stable")
+    for t, points in zip(thetas.tolist(), np.split(order, np.cumsum(counts)[:-1])):
+        cos_t, sin_t = math.cos(t), math.sin(t)
+        radial = [radial_integral_I(i, j, dm, cos_t) for i, j, dm in keys]
+        for k in points.tolist():
+            ph = phis[k] % (2.0 * math.pi)
+            # |m - m'| <= 2l <= n bounds every term's phase power
+            powers = {sign: _phase_powers(sin_t, ph, sign, lm_density.n) for sign in (-1, 1)}
+            total = 0.0 + 0.0j
+            for coef, sign, dm, key in terms:
+                total += coef * powers[sign][dm] * radial[key]
+            values[k] = total
+    bad = np.flatnonzero(np.abs(values.imag) > _IMAG_TOL)
+    if bad.size:
         raise NumericError(
-            f"imaginary residual {abs(total.imag):.3e} exceeds {_IMAG_TOL:.0e} "
+            f"imaginary residual {abs(values.imag[bad[0]]):.3e} exceeds {_IMAG_TOL:.0e} "
             "in the closed-form spherical sum"
         )
-    return total.real
+    return values.real.reshape(theta.shape)
 
 
 def sphere_normalization(density: OscillatorDensity,

@@ -14,8 +14,8 @@ Conventions used throughout the package:
   ``two_m = 2m``) so labels compare exactly.
 
 Everything returned here is immutable: arrays are marked read-only, so a
-cached array (``_s3_diagonal``) or a validated one (a state's amplitudes, an
-operator's matrix) cannot be changed after it was checked or shared.
+cached array (``_s3_diagonal``), a validated one (a state's amplitudes) or
+a built 2^n x 2^n operator cannot be changed after it was checked or shared.
 """
 
 from __future__ import annotations
@@ -125,21 +125,6 @@ class SpinMixture:
 
 
 @dataclass(frozen=True)
-class SpinOperator:
-    """Dense operator on the 2^n dimensional spin space."""
-
-    n: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = 2**self.n
-        if mat.shape != (dim, dim):
-            raise ValidationError(f"operator shape {mat.shape}, expected ({dim}, {dim})")
-        object.__setattr__(self, "matrix", _readonly(mat))
-
-
-@dataclass(frozen=True)
 class AngularBasis:
     """Orthonormal simultaneous eigenbasis of (S^2, S_3), labelled (k, l, m):
     vector (k, l, m) is row l - m of tower k of shell 2l, built on demand."""
@@ -209,7 +194,7 @@ def _collective(n: int, axis: int) -> np.ndarray:
     return np.diag(_s3_diagonal(n)).astype(complex)
 
 
-def build_collective_spin(n: int, axis: int, *, max_spins: int | None = None) -> SpinOperator:
+def build_collective_spin(n: int, axis: int, *, max_spins: int | None = None) -> np.ndarray:
     """Collective spin component: half the sum of single-site Pauli matrices.
 
     ``axis`` is 1, 2 or 3 for the x, y, z components.
@@ -217,22 +202,22 @@ def build_collective_spin(n: int, axis: int, *, max_spins: int | None = None) ->
     _check_capacity(n, max_spins)
     if axis not in (1, 2, 3):
         raise ValidationError(f"axis must be 1, 2 or 3, got {axis!r}")
-    return SpinOperator(n, _collective(n, axis))
+    return _readonly(_collective(n, axis))
 
 
-def total_spin_squared(n: int, *, max_spins: int | None = None) -> SpinOperator:
+def total_spin_squared(n: int, *, max_spins: int | None = None) -> np.ndarray:
     """Total spin squared S^2 = S_1^2 + S_2^2 + S_3^2."""
     _check_capacity(n, max_spins)
-    return SpinOperator(n, _apply_s2(np.eye(2**n, dtype=complex)))
+    return _readonly(_apply_s2(np.eye(2**n, dtype=complex)))
 
 
-def ladder(n: int, direction: str, *, max_spins: int | None = None) -> SpinOperator:
+def ladder(n: int, direction: str, *, max_spins: int | None = None) -> np.ndarray:
     """Collective ladder operator S_+ ("raise") or S_- ("lower")."""
     _check_capacity(n, max_spins)
     if direction == "raise":
-        return SpinOperator(n, _ladder_plus(n))
+        return _readonly(_ladder_plus(n))
     if direction == "lower":
-        return SpinOperator(n, _ladder_plus(n).conj().T)
+        return _readonly(_ladder_plus(n).conj().T)
     raise ValidationError(f'direction must be "raise" or "lower", got {direction!r}')
 
 

@@ -28,8 +28,8 @@ def _report(num: int, text: str, started: float) -> None:
 def test_criterion_01_algebra_suite():
     started = time.perf_counter()
     for n in range(1, 7):
-        s = [sw.build_collective_spin(n, ax).matrix for ax in (1, 2, 3)]
-        s2 = sw.total_spin_squared(n).matrix
+        s = [sw.build_collective_spin(n, ax) for ax in (1, 2, 3)]
+        s2 = sw.total_spin_squared(n)
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             assert np.max(np.abs(s[a] @ s[b] - s[b] @ s[a] - 1j * s[c])) <= 1e-12
         for m in s:
@@ -216,7 +216,6 @@ def test_criterion_07_radial_integrals_and_analytic_sphere():
     thetas = np.linspace(0.0, math.pi, 16)
     phis = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    points = [sw.SphPoint(t, p) for t, p in zip(tt.ravel(), pp.ravel())]
     for n in range(1, 6):
         size = len(sw.fock_states(n))
         idx = fock_index(n)
@@ -228,9 +227,8 @@ def test_criterion_07_radial_integrals_and_analytic_sphere():
                 for mat in combos:
                     d = OscillatorDensity.from_fock_elements(n, mat)
                     lm = LmDensity.from_density(d)
-                    numeric = sw.ws_numeric_many(d, tt.ravel(), pp.ravel())
-                    for pt, ref in zip(points, numeric):
-                        assert abs(sw.ws_analytic(lm, pt) - ref) <= 1e-8
+                    numeric = sw.ws_numeric_many(d, tt, pp)
+                    assert np.max(np.abs(sw.ws_analytic(lm, tt, pp) - numeric)) <= 1e-8
     _report(7, "radial closed forms within 1e-9 of exact monomial integration; "
                "spherical closed forms within 1e-8 of radial quadrature, n <= 5", started)
 
@@ -272,8 +270,8 @@ def test_criterion_10_squeezing_behaviour():
     started = time.perf_counter()
     n = 5
     base = sw.spin_coherent(n, 0.0, 0.0)
-    s1 = sw.build_collective_spin(n, 1).matrix
-    s2 = sw.build_collective_spin(n, 2).matrix
+    s1 = sw.build_collective_spin(n, 1)
+    s2 = sw.build_collective_spin(n, 2)
 
     def variance(op, vec):
         mean = np.vdot(vec, op @ vec).real

@@ -287,6 +287,15 @@ def test_analytic_route_falls_back_for_commuting_state_with_cross_shell_terms(tm
         assert data == numeric
 
 
+def test_check_compares_normalization_with_represented_trace(tmp_path, capsys):
+    # commutes with S^2 and has trace 2: the sphere integral is 2, which is right
+    state = _state_file(tmp_path, "kind operator\nspins 1\nrow 1,0 1,0\nrow 0,0 1,0\n")
+    assert main(["check", "--state", state]) == 0
+    report = capsys.readouterr().out
+    assert "represented_trace=2.000000000000e+00" in report
+    assert "sphere normalization" not in report and "status=ok" in report
+
+
 def test_check_command_nonreducible_operator_fails(tmp_path, capsys):
     state = _state_file(tmp_path, NONREDUCIBLE_OPERATOR)
     assert main(["check", "--state", state]) == 1
@@ -396,6 +405,21 @@ def test_non_finite_value_refused_without_output(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_huge_finite_coordinates_write_zero(tmp_path, capsys):
+    # W carries exp(-rho), so past its underflow the right value is 0
+    state = _state_file(tmp_path, "kind cat\nspins 3\n")
+    out = tmp_path / "far.csv"
+    assert main(["volume", "--state", state, "--grid", "x1:-1e200:1e200:3,x2:-1:1:3,x3:-1:1:3",
+                 "--out", str(out)]) == 0
+    _, _, rows = _read_table(out)
+    far = np.abs(rows[:, 0]) == 1e200
+    assert far.sum() == 18 and np.all(rows[far, 3] == 0.0) and np.any(rows[~far, 3] != 0.0)
+    assert main(["plane4d", "--state", state, "--grid", "q1:-1:1:3,p1:-1:1:3",
+                 "--fix", "q2=1e200", "--out", str(out)]) == 0
+    _, _, rows = _read_table(out)
+    assert len(rows) == 9 and np.all(rows[:, 2:] == 0.0)
+
+
 def _raw_component(weight, vec):
     return f"component {weight!r} raw " + " ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in vec)
 
@@ -409,7 +433,7 @@ def test_non_commuting_raw_mixture_residual_and_refusal(tmp_path, capsys):
                       _raw_component(0.4, (up - singlet) / ROOT2)]) + "\n"
     mix = sw.realize_operator(parse_state_text(text))
     rho = np.asarray(mix)
-    s2 = sw.total_spin_squared(2).matrix
+    s2 = sw.total_spin_squared(2)
     dense = float(np.max(np.abs(rho @ s2 - s2 @ rho)))
     assert dense > 0.1
     om = sw.construct_omega(sw.decompose_angular_basis(2))
@@ -510,12 +534,19 @@ def _mixture_text(*components):
     ("kind coherent\nspins 3\ntheta 0\nphi 0\ncomponent 1 cat\n", "check", [], 1,
      "'component'"),
     (b"kind cat\nspins 3\n# caf\xff\n", "volume", [], 1, "state.txt: byte 22 (0xff) is not UTF-8"),
+    ("kind cat\nspins 3\n", "volume", ["--grid", "x1:-1e308:1e308:3,x2:-1:1:3,x3:-1:1:3"], 1,
+     "grid axis 'x1': hi - lo is not finite"),
+    ("kind cat\nspins 3\n", "sphere", ["--grid", "theta:0:1:3,phi:-1e308:1e308:3"], 1,
+     "grid axis 'phi': hi - lo is not finite"),
+    ("kind cat\nspins 3\n", "plane4d", ["--grid", "q1:-1e308:1e308:3,p1:-1:1:3"], 1,
+     "grid axis 'q1': hi - lo is not finite"),
 ], ids=["component-fock-2.5", "component-coherent-abc", "component-weight-nan",
         "second-component-arity", "excitations-2.5", "spins-empty", "kind-empty", "theta-nan",
         "beta-nan", "amp-1e400", "fix-nan", "fix-twice", "tolerance-negative",
         "tolerance-trace-nan", "tolerance-twice",
         "samples-2.5", "samples-zero", "spins-twice", "theta-twice", "squeezed-key-typo",
-        "coherent-amp", "coherent-row", "coherent-component", "state-not-utf8"])
+        "coherent-amp", "coherent-row", "coherent-component", "state-not-utf8",
+        "volume-span-overflow", "sphere-span-overflow", "plane4d-span-overflow"])
 def test_malformed_input_exits_with_error_line(tmp_path, capsys, text, command, extra,
                                                code, names):
     # the discarded-tower state fails its trace check, so a NaN tolerance
@@ -524,8 +555,9 @@ def test_malformed_input_exits_with_error_line(tmp_path, capsys, text, command, 
     out = tmp_path / "out.csv"
     argv = [command, "--state", state] + extra
     if command != "check":
-        grid = VOLUME_3 if command == "volume" else "q1:-1:1:3,p1:-1:1:3"
-        argv += ["--grid", grid, "--out", str(out)]
+        argv += ["--out", str(out)]
+        if "--grid" not in extra:
+            argv += ["--grid", VOLUME_3 if command == "volume" else "q1:-1:1:3,p1:-1:1:3"]
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and names in captured.err

@@ -143,6 +143,8 @@ def test_array_api_refuses_non_finite_coordinates(bad):
         "wigner_4d_many": (lambda *c: sw.wigner_4d_many(d, *c), ("q1", "p1", "q2", "p2")),
         "reduced_wigner_many": (lambda *c: sw.reduced_wigner_many(d, *c), ("x1", "x2", "x3")),
         "ws_numeric_many": (lambda *c: sw.ws_numeric_many(d, *c), ("theta", "phi")),
+        "ws_analytic": (lambda *c: sw.ws_analytic(sw.LmDensity.from_density(d), *c),
+                        ("theta", "phi")),
         "hopf_forward_arrays": (sw.hopf_forward_arrays, ("q1", "p1", "q2", "p2")),
         "hopf_section_arrays": (sw.hopf_section_arrays, ("x1", "x2", "x3")),
     }
@@ -156,6 +158,17 @@ def test_array_api_refuses_non_finite_coordinates(bad):
                     with pytest.raises(sw.ValidationError,
                                        match=f"^{arg} = {bad!r} is not finite$"):
                         evaluate(*coords)
+
+
+def test_huge_finite_coordinates_give_zero():
+    # W carries exp(-rho): past its underflow the value is 0, with no overflow on the way
+    d = push_pure(3, sw.cat_state(3).amplitudes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wigner_complex_many(d, 1e200, 0, 0, 0) == 0
+        assert sw.reduced_wigner_many(d, 1e300, 0, 0) == 0
+        back = sw.hopf_forward_arrays(*sw.hopf_section_arrays(3e200, -4e200, 1e200))
+    assert back == pytest.approx((3e200, -4e200, 1e200), rel=1e-15)
 
 
 def test_oracle_matches_moyal_sum_one_spin():

@@ -55,14 +55,6 @@ def test_ws_refuses_too_few_nodes():
         1.0 / (4.0 * math.pi), abs=1e-12)
 
 
-def test_sph_point_validation():
-    with pytest.raises(sw.ValidationError):
-        sw.SphPoint(-0.2, 0.0)
-    with pytest.raises(sw.ValidationError):
-        sw.SphPoint(math.pi + 0.2, 0.0)
-    assert sw.SphPoint(1.0, 7.0).phi == pytest.approx(7.0 - 2.0 * math.pi)
-
-
 def test_hypergeom_hand_values():
     assert sw.hypergeom_terminating(0, 3.7, 2.2, 0.9) == 1.0
     assert sw.hypergeom_terminating(-1, 2.0, 3.0, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -171,7 +163,7 @@ def test_ws_analytic_matches_numeric_three_spins_all_shells():
                 d = sw.OscillatorDensity.from_fock_elements(n, e)
                 lm = LmDensity.from_density(d)
                 for th, ph in zip(thetas, phis):
-                    assert sw.ws_analytic(lm, sw.SphPoint(th, ph)) == pytest.approx(
+                    assert float(sw.ws_analytic(lm, th, ph)) == pytest.approx(
                         float(sw.ws_numeric_many(d, th, ph)), abs=1e-8)
 
 
@@ -179,9 +171,9 @@ def test_ws_analytic_diagonal_terms_azimuth_independent():
     n = 4
     d = push_pure(n, sw.fock_state(n, 2).amplitudes)
     lm = LmDensity.from_density(d)
-    base = sw.ws_analytic(lm, sw.SphPoint(1.2, 0.0))
+    base = float(sw.ws_analytic(lm, 1.2, 0.0))
     for ph in (0.5, 2.0, 4.5):
-        assert sw.ws_analytic(lm, sw.SphPoint(1.2, ph)) == pytest.approx(base, abs=1e-14)
+        assert float(sw.ws_analytic(lm, 1.2, ph)) == pytest.approx(base, abs=1e-14)
 
 
 def test_ws_analytic_refuses_cross_shell_terms():
@@ -189,7 +181,7 @@ def test_ws_analytic_refuses_cross_shell_terms():
     d = sw.push_operator(omega(2), np.outer(mixed, mixed.conj()))
     lm = LmDensity.from_density(d)
     with pytest.raises(sw.ValidationError, match="cross-shell"):
-        sw.ws_analytic(lm, sw.SphPoint(1.0, 1.0))
+        sw.ws_analytic(lm, 1.0, 1.0)
 
 
 def test_cat_minus_mixture_equator_profile():
@@ -307,27 +299,35 @@ _ANALYTIC_STATES = pytest.mark.parametrize("n, state", [
 ], ids=["coherent-5", "squeezed-6"])
 
 
-def _grid_points():
+def _grid_angles():
     # 16 x 31 directions, theta = 0 and pi included
-    return [sw.SphPoint(t, p) for t in np.linspace(0.0, math.pi, 16)
-            for p in np.linspace(0.0, 2.0 * math.pi, 31)]
+    t, p = np.meshgrid(np.linspace(0.0, math.pi, 16), np.linspace(0.0, 2.0 * math.pi, 31),
+                       indexing="ij")
+    return t.ravel(), p.ravel()
 
 
 @_ANALYTIC_STATES
 def test_ws_analytic_radial_reuse_is_exact(n, state, monkeypatch):
     lm = LmDensity.from_density(push_pure(n, state(n).amplitudes))
-    points = _grid_points()
-    sphere_mod._radial_memo.cache_clear()
-    reused = [sw.ws_analytic(lm, pt) for pt in points]
+    theta, phi = _grid_angles()
+    calls = []
+
+    def counted(*key):
+        calls.append(key)
+        return sw.radial_integral_I(*key)
+
+    monkeypatch.setattr(sphere_mod, "radial_integral_I", counted)
+    reused = sw.ws_analytic(lm, theta, phi)
     # summed once per theta, not once per (theta, phi)
-    assert sphere_mod._radial_memo.cache_info().misses <= 16 * len(lm.same_shell)
-    monkeypatch.setattr(sphere_mod, "_radial_memo", sw.radial_integral_I)
-    assert reused == [sw.ws_analytic(lm, pt) for pt in points]
+    assert len(calls) <= 16 * len(lm.same_shell)
+    monkeypatch.setattr(sphere_mod, "radial_integral_I", sw.radial_integral_I)
+    assert reused.tolist() == [float(sw.ws_analytic(lm, t, p)) for t, p in zip(theta, phi)]
 
 
-def _ws_analytic_per_term(lm, pt):
+def _ws_analytic_per_term(lm, theta, phi):
     """Closed-form sum recomputing every factor per term and point."""
-    cos_t, sin_t = math.cos(pt.theta), math.sin(pt.theta)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    phi = phi % (2.0 * math.pi)
     total = 0.0 + 0.0j
     for two_l, two_m, two_mp, v in lm.same_shell:
         sign = -1.0 if two_l % 2 else 1.0
@@ -341,7 +341,7 @@ def _ws_analytic_per_term(lm, pt):
             dm, s, i, j = (two_m - two_mp) // 2, 1, lmm, lpmp
             lg = (math.lgamma(lpmp + 1) + math.lgamma(lmm + 1)
                   - math.lgamma(lpm + 1) - math.lgamma(lmmp + 1))
-        base = -sin_t * complex(math.cos(s * pt.phi), math.sin(s * pt.phi))
+        base = -sin_t * complex(math.cos(s * phi), math.sin(s * phi))
         phase = 1.0 + 0.0j
         for _ in range(dm):
             phase *= base
@@ -353,16 +353,35 @@ def _ws_analytic_per_term(lm, pt):
 @_ANALYTIC_STATES
 def test_ws_analytic_hoisted_terms_match_per_term_sum(n, state):
     lm = LmDensity.from_density(push_pure(n, state(n).amplitudes))
-    points = _grid_points()
-    assert [sw.ws_analytic(lm, pt) for pt in points] == [
-        _ws_analytic_per_term(lm, pt) for pt in points]
+    theta, phi = _grid_angles()
+    assert sw.ws_analytic(lm, theta, phi).tolist() == [
+        _ws_analytic_per_term(lm, t, p) for t, p in zip(theta.tolist(), phi.tolist())]
+
+
+@pytest.mark.parametrize("n, state", [
+    (5, lambda n: sw.spin_coherent(n, 1.1, 0.4)),
+    (6, lambda n: sw.squeezed_state(n, 0.2 + 0.1j, sw.spin_coherent(n, 0.8, 2.0))),
+    (4, lambda n: sw.fock_state(n, 2)),
+], ids=["coherent-5", "squeezed-6", "fock-4"])
+def test_sphere_routes_agree_at_any_finite_angles(n, state):
+    # outside [0, pi] x [0, 2 pi) the angles still name the direction
+    # (sin theta cos phi, sin theta sin phi, cos theta) for both routes
+    d = push_pure(n, state(n).amplitudes)
+    lm = LmDensity.from_density(d)
+    t, p = np.meshgrid([-0.4, math.pi + 0.3, 7.0], [-20.0, 9.5, 13.0], indexing="ij")
+    assert np.max(np.abs(sw.ws_analytic(lm, t, p) - sw.ws_numeric_many(d, t, p))) <= 1e-8
+    assert sw.ws_analytic(lm, 0.3, 1.0).shape == ()
+    t, p = np.linspace(0.1, 3.0, 5)[:, None], np.linspace(0.0, 6.0, 5)[None, :]
+    got = sw.ws_analytic(lm, t, p)
+    assert got.shape == (5, 5)
+    assert np.max(np.abs(got - sw.ws_numeric_many(d, t, p))) <= 1e-8
 
 
 def test_rotation_about_z_shifts_azimuth():
     n = 3
     psi = sw.spin_coherent(n, 1.1, 0.3)
     chi = 0.83
-    u = expm(1j * chi * sw.build_collective_spin(n, 3).matrix)
+    u = expm(1j * chi * sw.build_collective_spin(n, 3))
     om = omega(n)
     d0 = sw.push_density(om, psi.density)
     d1 = sw.push_density(om, u @ psi.density @ u.conj().T)

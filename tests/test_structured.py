@@ -32,7 +32,7 @@ def _swap_s2(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_structured_push_matches_dense_reference(n):
     s2 = _swap_s2(n)
-    assert np.array_equal(s2, sw.total_spin_squared(n).matrix)
+    assert np.array_equal(s2, sw.total_spin_squared(n))
     c = omega(n).coefficients
     for name, mix in state_families(n).items():
         rho = np.asarray(mix)
