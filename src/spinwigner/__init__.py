@@ -9,7 +9,7 @@ radially onto the sphere (``sphere``). ``states`` builds the standard
 state families and ``cli`` exposes grid evaluation as a command line tool.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (
@@ -42,7 +42,6 @@ from .reduced_space import (
 )
 from .sphere import (
     LmDensity,
-    hypergeom_terminating,
     radial_integral_I,
     sphere_normalization,
     ws_analytic,
@@ -80,7 +79,6 @@ __all__ = [
     "fock_states",
     "hopf_forward_arrays",
     "hopf_section_arrays",
-    "hypergeom_terminating",
     "intertwining_residual",
     "jordan_schwinger",
     "jordan_schwinger_squared",

@@ -377,6 +377,13 @@ def _maybe_normalization(density: OscillatorDensity, notes: list[str]) -> float:
         notes.append(f"normalization skipped: represented trace "
                      f"{density.represented_trace:.3e} is not above 1e-9")
         return math.nan
+    e = density.elements
+    skew = float(np.max(np.abs(e - e.conj().T), initial=0.0))
+    if skew > 1e-10 * max(1.0, float(np.max(np.abs(e), initial=0.0))):
+        # the spherical function of a non-Hermitian operator is complex
+        notes.append(f"normalization skipped: operator is not Hermitian "
+                     f"(max |E - E^H| = {skew:.3e})")
+        return math.nan
     return sphere_normalization(density)
 
 

@@ -17,13 +17,16 @@ coordinate is refused with a ValidationError naming it.
 Factorial ratios are taken in log space and the complex monomial is built
 by repeated multiplication, which keeps the axes exactly real/imaginary.
 
-The sum runs over blocks of ``_BLOCK`` points. Each mode's orders and degrees
-are grouped once per call; per block, one walk over the orders forms each
-needed entry from one exp(-rho), the powers of q - ip and one Laguerre
-recurrence per order, and its mirror row is the conjugate. Pairs add up in
+The sum runs over blocks of points. Each mode's orders and degrees are
+grouped once per call; per block, one walk over the orders forms each needed
+entry from one exp(-rho), the powers of q - ip and one Laguerre recurrence
+per order, and its mirror row is the conjugate. Pairs add up in
 ``np.nonzero`` order as out-of-place products with no scratch rows, the same
-operations as a per-pair sum over all points, so values are bit-identical,
-while memory stays (n + 1)^2 x ``_BLOCK`` entries per mode at any point count.
+operations as a per-pair sum over all points, so values are bit-identical
+whatever the block size. The two modes' tables hold 2 (n + 1)^2 complex
+entries per point of a block, so a block has at most ``_BLOCK`` points and
+at most as many as keep the tables within ``_TABLE_BYTES``: every n <= 12
+uses full blocks, and memory stays bounded at any point count and any n.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from .omega_map import OscillatorDensity, fock_states
 
 _IMAG_TOL = 1e-8
 _LN2 = math.log(2.0)
-_BLOCK = 4096  # points per kernel block; see the module docstring
+_BLOCK = 4096  # most points per kernel block; see the module docstring
+_TABLE_BYTES = 2 * 13**2 * _BLOCK * 16  # both modes' tables at n = 12 (22 MB)
 
 
 def _finite(**coords) -> list[np.ndarray]:
@@ -128,10 +132,11 @@ def wigner_complex_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarra
     for mode, need in zip(codes, needs):
         for n, n_prime in (divmod(c, width) for c in set(mode)):
             need.setdefault(abs(n_prime - n), set()).add(min(n, n_prime))
-    tables = np.empty((2, width**2, min(q1.size, _BLOCK)), dtype=complex)
+    block = max(1, min(_BLOCK, _TABLE_BYTES // (2 * width**2 * 16)))
+    tables = np.empty((2, width**2, min(q1.size, block)), dtype=complex)
     out = np.zeros(q1.size, dtype=complex)
-    for start in range(0, q1.size, _BLOCK):
-        s = slice(start, start + _BLOCK)
+    for start in range(0, q1.size, block):
+        s = slice(start, start + block)
         total = out[s]
         table1, table2 = tables[:, :, :total.size]
         for need, q, p, table in zip(needs, (q1, q2), (p1, p2), (table1, table2)):

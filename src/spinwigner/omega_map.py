@@ -214,7 +214,20 @@ def intertwining_residual(omega: OmegaMap) -> float:
 
 
 def _commutator_residual(p: np.ndarray, q: np.ndarray) -> float:
-    """Max entry of P Q^H - Q P^H, formed a block of rows at a time."""
+    """Residual of P Q^H - Q P^H, without forming it when it is small.
+
+    With the thin QR [P, Q] = Z [R_p, R_q], the difference is
+    Z (R_p R_q^H - R_q R_p^H) Z^H and Z has orthonormal columns, so its
+    Frobenius norm is that of the small core; it bounds the max entry from
+    above. When the bound is within ``S2_COMMUTE_TOL`` it is returned, so a
+    commuting operator's ``s2_residual`` holds the bound (no output line
+    shows it); otherwise the max entry is formed a block of rows at a time.
+    """
+    k = p.shape[1]
+    r = np.linalg.qr(np.hstack([p, q]), mode="r")
+    bound = float(np.linalg.norm(r[:, :k] @ r[:, k:].conj().T - r[:, k:] @ r[:, :k].conj().T))
+    if bound <= S2_COMMUTE_TOL:
+        return bound
     rows = max(1, _RESIDUAL_BLOCK // p.shape[0])
     return max(float(np.max(np.abs(p[i:i + rows] @ q.conj().T - q[i:i + rows] @ p.conj().T)))
                for i in range(0, p.shape[0], rows))
@@ -253,8 +266,8 @@ def push_density(omega: OmegaMap, rho: np.ndarray | SpinMixture) -> OscillatorDe
     A ``SpinMixture`` (weights w_i, states psi_i) is pushed without forming
     the 2^n x 2^n matrix: the result is sum_i w_i (omega psi_i)(omega psi_i)^H.
     It is Hermitian and positive by construction, so only its trace is
-    checked. The residual of [rho, S^2] is the largest entry of
-    P Q^H - Q P^H with P = psi w and Q = S^2 psi.
+    checked. The residual of [rho, S^2] is taken from P Q^H - Q P^H with
+    P = psi w and Q = S^2 psi (see ``_commutator_residual``).
 
     The represented trace of the result may be below 1: weight carried by
     discarded degeneracy towers is lost, and callers should inspect

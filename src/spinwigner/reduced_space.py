@@ -106,10 +106,7 @@ def check_fiber_invariance(density: OscillatorDensity, samples: int) -> float:
     angles = rng.uniform(0.0, 2.0 * math.pi, size=samples)
     q1, p1, q2, p2 = pts.T
     c, s = np.cos(angles), np.sin(angles)
-    rq1 = c * q1 + s * p1
-    rp1 = -s * q1 + c * p1
-    rq2 = c * q2 + s * p2
-    rp2 = -s * q2 + c * p2
-    base = wigner_complex_many(density, q1, p1, q2, p2)
-    rot = wigner_complex_many(density, rq1, rp1, rq2, rp2)
+    rotated = [c * q1 + s * p1, -s * q1 + c * p1, c * q2 + s * p2, -s * q2 + c * p2]
+    base, rot = wigner_complex_many(
+        density, *np.concatenate([pts.T, rotated], axis=1)).reshape(2, samples)
     return float(np.max(np.abs(rot - base) / (np.abs(base) + 1e-12)))

@@ -48,33 +48,25 @@ def _gauss_laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def default_radial_nodes(n: int) -> int:
-    """Fewest Gauss-Laguerre nodes exact for n spins: n + 2 nodes integrate
-    exp(-r) times any polynomial of degree up to 2n + 3."""
-    return n + 2
-
-
-def ws_numeric_many(density: OscillatorDensity, theta, phi, nodes: int | None = None, *,
+def ws_numeric_many(density: OscillatorDensity, theta, phi, *,
                     force_section: bool = False) -> np.ndarray:
     """Spherical function on arrays of angles, by radial Gauss-Laguerre.
+
+    Along each ray the reduced function is exp(-r) times a polynomial of
+    degree at most n in r, so with the weight r the integrand has degree at
+    most n + 1. The rule is n + 2 Gauss-Laguerre nodes, exact for exp(-r)
+    times any polynomial of degree up to 2n + 3, so every value is the exact
+    radial integral up to rounding.
 
     ``force_section`` evaluates along the canonical fiber section even for
     operators failing the commutation test; the result is then
     section-dependent and its real part is returned without the
     imaginary-residual assertion.
     """
-    n = density.n
-    if nodes is None:
-        nodes = default_radial_nodes(n)
-    if nodes < n + 2:
-        raise ValidationError(
-            f"{nodes} radial nodes cannot integrate a degree-{2 * n + 1} "
-            f"polynomial exactly; need at least {n + 2}"
-        )
     if not force_section:
         _require_commuting(density)
     theta, phi = np.broadcast_arrays(*_finite(theta=theta, phi=phi))
-    r, w = _gauss_laguerre(nodes)
+    r, w = _gauss_laguerre(density.n + 2)
     st = np.sin(theta)[..., None]
     nx = st * np.cos(phi)[..., None]
     ny = st * np.sin(phi)[..., None]
@@ -96,6 +88,7 @@ def _gauss_series_exact(neg_int_a: int, b: Fraction, c: Fraction, x: Fraction) -
 
     Every quantity is an exact rational, so alternating-term cancellation
     near |x| -> 1 costs no precision; the caller rounds once at the end.
+    The only caller passes c >= 1, so no denominator c + t vanishes.
     """
     terms = -neg_int_a
     total = Fraction(1)
@@ -104,24 +97,6 @@ def _gauss_series_exact(neg_int_a: int, b: Fraction, c: Fraction, x: Fraction) -
         term *= Fraction(neg_int_a + t) * (b + t) / ((c + t) * (t + 1)) * x
         total += term
     return total
-
-
-def hypergeom_terminating(neg_int_a: int, b: float, c: float, x: float) -> float:
-    """Gauss series F(a, b; c; x) with a a non-positive integer.
-
-    The series terminates after |a| + 1 terms. If c hits a non-positive
-    integer before termination the series is undefined and a domain error
-    is raised. Floating inputs are promoted to exact rationals, so the
-    only rounding is the final one.
-    """
-    if neg_int_a > 0 or int(neg_int_a) != neg_int_a:
-        raise ValidationError(f"first parameter must be a non-positive integer, got {neg_int_a!r}")
-    terms = -int(neg_int_a)
-    if float(c).is_integer() and c <= 0 and -c < terms:
-        raise ValidationError(
-            f"series pole: denominator parameter {c} reaches zero before termination"
-        )
-    return float(_gauss_series_exact(int(neg_int_a), Fraction(b), Fraction(c), Fraction(x)))
 
 
 def radial_integral_I(i: int, j: int, alpha: int, c: float) -> float:
@@ -264,28 +239,23 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
     return values.real.reshape(theta.shape)
 
 
-def sphere_normalization(density: OscillatorDensity,
-                         resolution: tuple[int, int] | None = None,
-                         nodes: int | None = None) -> float:
+def sphere_normalization(density: OscillatorDensity) -> float:
     """Integral of the spherical function over the sphere.
 
     Along each ray the reduced function is exp(-r) times a polynomial of
     degree at most n in r, so its radial integral with weight r dr is a
     polynomial of degree at most n in the direction cosines. Gauss-Legendre
     with n//2 + 1 nodes in cos(theta), crossed with n + 1 uniform azimuths
-    (at least 2 of each), integrates such a polynomial exactly; that rule
-    is the default. An explicit ``resolution`` (n_theta, n_phi) replaces it.
-    Equals 1 for normalized pure states inside the represented subspace.
+    (at least 2 of each), integrates such a polynomial exactly, and that is
+    the rule used. Equals the represented trace for operators commuting with
+    total spin squared, so 1 for normalized pure states inside the
+    represented subspace.
     """
-    if resolution is None:
-        resolution = (max(2, density.n // 2 + 1), max(2, density.n + 1))
-    n_theta, n_phi = resolution
-    if n_theta < 2 or n_phi < 2:
-        raise ValidationError("resolution must be at least 2 nodes per angle")
+    n_theta, n_phi = max(2, density.n // 2 + 1), max(2, density.n + 1)
     cos_nodes, cos_weights = np.polynomial.legendre.leggauss(n_theta)
     thetas = np.arccos(cos_nodes)
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     grid_theta = np.repeat(thetas, n_phi)
     grid_phi = np.tile(phis, n_theta)
-    vals = ws_numeric_many(density, grid_theta, grid_phi, nodes).reshape(n_theta, n_phi)
+    vals = ws_numeric_many(density, grid_theta, grid_phi).reshape(n_theta, n_phi)
     return float(np.sum(vals.sum(axis=1) * cos_weights) * (2.0 * math.pi / n_phi))

@@ -288,12 +288,39 @@ def test_analytic_route_falls_back_for_commuting_state_with_cross_shell_terms(tm
 
 
 def test_check_compares_normalization_with_represented_trace(tmp_path, capsys):
-    # commutes with S^2 and has trace 2: the sphere integral is 2, which is right
-    state = _state_file(tmp_path, "kind operator\nspins 1\nrow 1,0 1,0\nrow 0,0 1,0\n")
+    # Hermitian, commutes with S^2 and has trace 2: the sphere integral is 2, which is right
+    state = _state_file(tmp_path, "kind operator\nspins 1\nrow 1,0 1,0\nrow 1,0 1,0\n")
     assert main(["check", "--state", state]) == 0
     report = capsys.readouterr().out
     assert "represented_trace=2.000000000000e+00" in report
+    assert "normalization_check=2.0000000000" in report
     assert "sphere normalization" not in report and "status=ok" in report
+
+
+def test_non_hermitian_commuting_operator_skips_normalization(tmp_path, capsys):
+    # 1 + S_+ at two spins commutes with S^2, but its functions are complex:
+    # plane4d writes them, check skips the sphere integral, and the real-valued
+    # volume and sphere commands refuse it
+    state = _state_file(tmp_path, "kind operator\nspins 2\nrow 1,0 0,0 0,0 0,0\n"
+                        "row 1,0 1,0 0,0 0,0\nrow 1,0 0,0 1,0 0,0\nrow 0,0 1,0 1,0 1,0\n")
+    out = tmp_path / "plane.csv"
+    assert main(["plane4d", "--state", state, "--grid", "q1:-1:1:3,p1:-1:1:3",
+                 "--fix", "q2=0.4,p2=0.7", "--out", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert "commutes_with_s2=true" in report and "normalization_check=nan" in report
+    assert "note=normalization skipped: operator is not Hermitian" in report
+    _, columns, rows = _read_table(str(out))
+    assert columns[-2:] == ["value_re", "value_im"] and np.max(np.abs(rows[:, -1])) > 1e-3
+    assert main(["check", "--state", state]) == 0
+    report = capsys.readouterr().out
+    assert "note=normalization skipped: operator is not Hermitian" in report
+    assert "status=ok" in report
+    for command, grid in (("volume", "x1:-1:1:3,x2:-1:1:3,x3:-1:1:3"),
+                          ("sphere", "theta:0:3:3,phi:0:6:3")):
+        assert main([command, "--state", state, "--grid", grid,
+                     "--out", str(tmp_path / f"{command}.csv")]) == 2
+        assert "not Hermitian" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.csv").exists()
 
 
 def test_check_command_nonreducible_operator_fails(tmp_path, capsys):

@@ -275,3 +275,21 @@ def test_kernel_memory_is_bounded_by_the_block():
             tracemalloc.stop()
         peaks[count] = peak - vals.nbytes
     assert peaks[200_000] <= peaks[20_000] + 1e6
+    # n = 30: full 4096-point blocks would take 2 x 31^2 x 4096 x 16 B = 126 MB
+    # of tables; the byte budget keeps them at the n = 12 size (22 MB)
+    n = 30
+    idx = fock_index(n)
+    e = np.zeros((len(sw.fock_states(n)),) * 2, dtype=complex)
+    for a, b in ((n, 0), (0, n), (15, 15)):
+        e[idx[(a, b)], idx[(a, b)]] = 1.0
+    e[idx[(n, 0)], idx[(0, n)]] = e[idx[(0, n)], idx[(n, 0)]] = 0.5
+    d = sw.OscillatorDensity.from_fock_elements(n, e)
+    pts = rng.uniform(-3.0, 3.0, size=(4, 5000))
+    tracemalloc.start()
+    try:
+        vals = wigner_complex_many(d, *pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - vals.nbytes <= 25e6
+    assert np.array_equal(vals[4000:], wigner_complex_many(d, *pts[:, 4000:]))

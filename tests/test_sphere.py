@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, hyp2f1
+from scipy.special import eval_genlaguerre
 
 import spinwigner as sw
 import spinwigner.sphere as sphere_mod
@@ -45,40 +45,6 @@ def test_ws_zero_density():
     size = len(sw.fock_states(2))
     d = sw.OscillatorDensity.from_fock_elements(2, np.zeros((size, size)))
     assert float(sw.ws_numeric_many(d, 1.0, 1.0)) == 0.0
-
-
-def test_ws_refuses_too_few_nodes():
-    d = push_pure(2, singlet_vector())
-    with pytest.raises(sw.ValidationError):
-        sw.ws_numeric_many(d, 1.0, 1.0, nodes=3)
-    assert float(sw.ws_numeric_many(d, 1.0, 1.0, nodes=4)) == pytest.approx(
-        1.0 / (4.0 * math.pi), abs=1e-12)
-
-
-def test_hypergeom_hand_values():
-    assert sw.hypergeom_terminating(0, 3.7, 2.2, 0.9) == 1.0
-    assert sw.hypergeom_terminating(-1, 2.0, 3.0, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert sw.hypergeom_terminating(-2, 1.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_hypergeom_pole_detection():
-    with pytest.raises(sw.ValidationError, match="pole"):
-        sw.hypergeom_terminating(-3, 1.0, -1.0, 0.5)
-    # pole beyond termination is fine: c = -3 is reached only at term 4
-    assert math.isfinite(sw.hypergeom_terminating(-2, 1.0, -3.0, 0.5))
-    with pytest.raises(sw.ValidationError):
-        sw.hypergeom_terminating(1, 1.0, 1.0, 0.5)
-
-
-def test_hypergeom_against_scipy():
-    rng = np.random.default_rng(9)
-    for _ in range(120):
-        a = -int(rng.integers(0, 9))
-        b = float(rng.uniform(-4.0, 9.0))
-        c = float(rng.uniform(0.5, 9.0))
-        x = float(rng.uniform(-1.0, 1.0))
-        assert sw.hypergeom_terminating(a, b, c, x) == pytest.approx(
-            float(hyp2f1(a, b, c, x)), rel=1e-9, abs=1e-9)
 
 
 def test_radial_integral_simplest_is_one():
@@ -226,12 +192,11 @@ def test_sphere_normalization_random_represented_states(n):
     for vec in shell_states:
         d = sw.push_density(om, np.outer(vec, vec.conj()))
         assert d.represented_trace == pytest.approx(1.0, abs=1e-10)
-        assert sw.sphere_normalization(d, resolution=(32, 64)) == pytest.approx(
-            1.0, abs=1e-8)
+        assert sw.sphere_normalization(d) == pytest.approx(1.0, abs=1e-8)
     blend = 0.4 * np.outer(shell_states[0], shell_states[0].conj()) \
         + 0.6 * np.outer(shell_states[1], shell_states[1].conj())
     d = sw.push_density(om, blend)
-    assert sw.sphere_normalization(d, resolution=(32, 64)) == pytest.approx(1.0, abs=1e-8)
+    assert sw.sphere_normalization(d) == pytest.approx(1.0, abs=1e-8)
 
 
 def _family_densities(n):
@@ -257,30 +222,40 @@ def _random_block_diagonal(n, rng):
     return sw.OscillatorDensity.from_fock_elements(n, e / np.trace(e).real)
 
 
+def _angular_rule(d, n_theta, n_phi):
+    """Sphere integral of ws_numeric_many by an explicit Gauss-Legendre x
+    uniform-azimuth rule."""
+    cos_nodes, cos_weights = np.polynomial.legendre.leggauss(n_theta)
+    t, p = np.meshgrid(np.arccos(cos_nodes), np.arange(n_phi) * (2.0 * math.pi / n_phi),
+                       indexing="ij")
+    vals = sw.ws_numeric_many(d, t, p)
+    return float(np.sum(vals.sum(axis=1) * cos_weights) * (2.0 * math.pi / n_phi))
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_derived_normalization_rule_matches_dense_rule(n):
+    # the sphere integral equals the represented trace for operators that
+    # commute with total spin squared, so the exact rule must reproduce it
     for d in _family_densities(n):
-        assert sw.sphere_normalization(d) == pytest.approx(
-            sw.sphere_normalization(d, resolution=(64, 128)), abs=1e-12)
+        assert sw.sphere_normalization(d) == pytest.approx(d.represented_trace, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_default_radial_nodes_match_wider_rule(n):
-    wide = 2 * n + 8  # the node count used before 0.3.0
+    # every family is same-shell, so the closed form is the exact reference
+    # for the n + 2 node radial rule
     t, p = np.meshgrid(np.linspace(0.0, math.pi, 7), np.linspace(0.0, 2.0 * math.pi, 9),
                        indexing="ij")
     for d in _family_densities(n):
-        got = sw.ws_numeric_many(d, t.ravel(), p.ravel())
-        assert np.max(np.abs(got - sw.ws_numeric_many(d, t.ravel(), p.ravel(), wide))) <= 1e-12
-        assert sw.sphere_normalization(d) == pytest.approx(
-            sw.sphere_normalization(d, nodes=wide), abs=1e-12)
+        exact = sw.ws_analytic(LmDensity.from_density(d), t.ravel(), p.ravel())
+        assert np.max(np.abs(sw.ws_numeric_many(d, t.ravel(), p.ravel()) - exact)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 11, 12])
 def test_derived_normalization_rule_random_block_diagonal(n):
     d = _random_block_diagonal(n, np.random.default_rng(70 + n))
     derived = sw.sphere_normalization(d)
-    assert derived == pytest.approx(sw.sphere_normalization(d, resolution=(64, 128)), abs=1e-12)
+    assert derived == pytest.approx(d.represented_trace, abs=1e-12)
     assert derived == pytest.approx(1.0, abs=1e-8)
 
 
@@ -289,8 +264,9 @@ def test_derived_normalization_rule_is_tight():
     # fringe of the cat state onto the constant term
     n = 4
     d = push_pure(n, sw.cat_state(n).amplitudes)
-    dense = sw.sphere_normalization(d, resolution=(64, 128))
-    assert abs(sw.sphere_normalization(d, resolution=(n // 2 + 1, n)) - dense) > 1e-3
+    exact = sw.sphere_normalization(d)
+    assert _angular_rule(d, n // 2 + 1, n + 1) == pytest.approx(exact, abs=1e-12)
+    assert abs(_angular_rule(d, n // 2 + 1, n) - exact) > 1e-3
 
 
 _ANALYTIC_STATES = pytest.mark.parametrize("n, state", [
