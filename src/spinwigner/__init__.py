@@ -9,7 +9,7 @@ radially onto the sphere (``sphere``). ``states`` builds the standard
 state families and ``cli`` exposes grid evaluation as a command line tool.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (

@@ -7,15 +7,16 @@ of the state, so normalized fully-represented states integrate to 1.
 
 Two evaluation routes are provided. The numeric route uses Gauss-Laguerre
 quadrature, exact here because every reduced function is exp(-r) times a
-polynomial. The analytic route evaluates, per matrix element within one
-angular-momentum shell, a closed form built from terminating Gauss series;
-the radial factor is
+polynomial. The analytic route takes, per angular-momentum shell, the
+closed form of each diagonal element at the pole, built from terminating
+Gauss series with the radial factor
 
     I(i, j, alpha; c) = integral_0^inf exp(-r) r^(1+alpha)
         L_j^alpha((1+c) r) L_i^alpha((1-c) r) dr
 
-computed without quadrature. Coherences between different shells have no
-closed form here and are refused by the analytic route.
+computed without quadrature, and rotates it to each direction. Coherences
+between different shells have no closed form here and are refused by the
+analytic route.
 
 Both routes take angle arrays that broadcast together (0-d scalars
 included) and refuse a NaN or inf angle by name. Any finite (theta, phi)
@@ -54,9 +55,9 @@ def ws_numeric_many(density: OscillatorDensity, theta, phi, *,
 
     Along each ray the reduced function is exp(-r) times a polynomial of
     degree at most n in r, so with the weight r the integrand has degree at
-    most n + 1. The rule is n + 2 Gauss-Laguerre nodes, exact for exp(-r)
-    times any polynomial of degree up to 2n + 3, so every value is the exact
-    radial integral up to rounding.
+    most n + 1. The rule is (n + 3) // 2 Gauss-Laguerre nodes, the fewest k
+    with 2k - 1 >= n + 1, so every value is the exact radial integral up to
+    rounding.
 
     ``force_section`` evaluates along the canonical fiber section even for
     operators failing the commutation test; the result is then
@@ -66,7 +67,7 @@ def ws_numeric_many(density: OscillatorDensity, theta, phi, *,
     if not force_section:
         _require_commuting(density)
     theta, phi = np.broadcast_arrays(*_finite(theta=theta, phi=phi))
-    r, w = _gauss_laguerre(density.n + 2)
+    r, w = _gauss_laguerre((density.n + 3) // 2)
     st = np.sin(theta)[..., None]
     nx = st * np.cos(phi)[..., None]
     ny = st * np.sin(phi)[..., None]
@@ -110,23 +111,17 @@ def radial_integral_I(i: int, j: int, alpha: int, c: float) -> float:
     """
     if i < 0 or j < 0 or alpha < 0:
         raise ValidationError("indices must be >= 0")
+    if i > j:
+        # I(i, j, alpha; c) = I(j, i, alpha; -c): swap the Laguerre factors
+        i, j, c = j, i, -c
     cf = Fraction(c)
-    x = cf * cf
-    if i <= j:
-        sign = (-1) ** (j - i)
-        pref = Fraction(math.factorial(j + alpha),
-                        math.factorial(i) * math.factorial(j - i))
-        series = _gauss_series_exact(-i, Fraction(1 + j + alpha), Fraction(1 + j - i), x)
-    else:
-        sign = 1
-        pref = Fraction(math.factorial(i + alpha),
-                        math.factorial(j) * math.factorial(i - j))
-        series = _gauss_series_exact(-j, Fraction(1 + i + alpha), Fraction(1 + i - j), x)
-    d = abs(i - j)
+    d = j - i
+    pref = Fraction(math.factorial(j + alpha), math.factorial(i) * math.factorial(d))
+    series = _gauss_series_exact(-i, Fraction(1 + j + alpha), Fraction(1 + d), cf * cf)
     bracket = Fraction(i + j + alpha + 1) * cf**d
     if d > 0:
-        bracket += Fraction(j - i) * cf ** (d - 1)
-    return float(sign * pref * series * bracket)
+        bracket += d * cf ** (d - 1)
+    return float((-1) ** d * pref * series * bracket)
 
 
 @dataclass(frozen=True)
@@ -168,23 +163,22 @@ class LmDensity:
         return cls(density.n, tuple(same), tuple(cross))
 
 
-def _phase_powers(sin_theta: float, phi: float, sign: int, top: int) -> list[complex]:
-    """Powers 0..top of -sin(theta) e^(i sign phi), by repeated multiplication."""
-    base = -sin_theta * complex(math.cos(sign * phi), math.sin(sign * phi))
-    out = [1.0 + 0.0j]
-    for _ in range(top):
-        out.append(out[-1] * base)
-    return out
-
-
 def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
-    """Spherical function from the per-element closed forms, on arrays of angles.
+    """Spherical function from the per-shell closed forms, on arrays of angles.
 
     Only same-shell terms are supported; cross-shell coherences are refused
     with the offending terms named, so callers can fall back to the numeric
-    route explicitly. The radial factors depend on theta alone and are summed
-    in exact arithmetic once per distinct theta of the call; each point adds
-    its terms in ``same_shell`` order in Python complex arithmetic.
+    route explicitly. The function is rotation covariant, so each shell 2l is
+    its value at the pole rotated to the direction:
+
+        W = sum_m delta_m(l) <l, m; theta, phi| rho_l |l, m; theta, phi>,
+        |l, m; theta, phi> = exp(-i phi J3) exp(-i theta J2) |l, m>,
+
+    where rho_l is the shell's block and delta_m(l) the exact closed form of
+    |l, m><l, m| at theta = 0. The rotation comes from one eigendecomposition
+    of J2 per shell. Each distinct theta of the call forms the rotated
+    diagonal once; each point then adds its azimuthal harmonics elementwise,
+    so a value does not depend on the other points of the call.
     """
     if lm_density.cross_shell:
         labels = ", ".join(
@@ -199,37 +193,37 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
             "use the numeric route for these terms"
         )
     theta, phi = np.broadcast_arrays(*_finite(theta=theta, phi=phi))
-    # Per term: v (-1)^(2l) / (4 pi) times the factorial ratio, the sign of the
-    # azimuth in its phase, the power dm of that phase and the index in ``keys``
-    # of its radial factor I(i, j, dm; c). A term with m > m' is the m < m'
-    # form with the ket and bra occupations (l + m, l - m) swapped.
-    keys: dict[tuple[int, int, int], int] = {}
-    terms = []
+    # Per shell: the block rho_l (row a holds m = a - l), the eigenpairs of
+    # J2 = (J+ - J-) / 2i, where J+ = a1^dag a2 raises row a - 1 to row a by
+    # sqrt(a (2l + 1 - a)), delta_m(l), and the harmonic a - a' of each entry.
+    blocks: dict[int, np.ndarray] = {}
     for two_l, two_m, two_mp, v in lm_density.same_shell:
-        sign = -1 if two_m <= two_mp else 1
-        ket = ((two_l + two_m) // 2, (two_l - two_m) // 2)
-        bra = ((two_l + two_mp) // 2, (two_l - two_mp) // 2)
-        (lpm, lmm), (lpmp, lmmp) = (ket, bra) if sign < 0 else (bra, ket)
-        ratio = math.exp(0.5 * (math.lgamma(lpm + 1) + math.lgamma(lmmp + 1)
-                                - math.lgamma(lpmp + 1) - math.lgamma(lmm + 1)))
+        if two_l not in blocks:
+            blocks[two_l] = np.zeros((two_l + 1, two_l + 1), dtype=complex)
+        blocks[two_l][(two_l + two_m) // 2, (two_l + two_mp) // 2] = v
+    top = lm_density.n
+    shells = []
+    for two_l, rho in blocks.items():
+        a = np.arange(two_l + 1)
+        upper = 0.5j * np.sqrt(a[1:] * (two_l + 1 - a[1:]))
+        mu, vec = np.linalg.eigh(np.diag(upper, 1) + np.diag(upper.conj(), -1))
         parity = -1.0 if two_l % 2 else 1.0
-        key = keys.setdefault((lmmp, lpm, lpmp - lpm), len(keys))
-        terms.append((v * parity / (4.0 * math.pi) * ratio, sign, lpmp - lpm, key))
-    phis = phi.ravel().tolist()
-    values = np.empty(theta.size, dtype=complex)
+        delta = np.array([parity / (4.0 * math.pi) * radial_integral_I(two_l - k, k, 0, 1.0)
+                          for k in a.tolist()])
+        shells.append((rho, mu, vec, delta, (top + a[:, None] - a[None, :]).ravel()))
+    phis = phi.ravel()
+    values = np.zeros(theta.size, dtype=complex)
     thetas, inverse, counts = np.unique(theta, return_inverse=True, return_counts=True)
     order = np.argsort(inverse.ravel(), kind="stable")
     for t, points in zip(thetas.tolist(), np.split(order, np.cumsum(counts)[:-1])):
-        cos_t, sin_t = math.cos(t), math.sin(t)
-        radial = [radial_integral_I(i, j, dm, cos_t) for i, j, dm in keys]
-        for k in points.tolist():
-            ph = phis[k] % (2.0 * math.pi)
-            # |m - m'| <= 2l <= n bounds every term's phase power
-            powers = {sign: _phase_powers(sin_t, ph, sign, lm_density.n) for sign in (-1, 1)}
-            total = 0.0 + 0.0j
-            for coef, sign, dm, key in terms:
-                total += coef * powers[sign][dm] * radial[key]
-            values[k] = total
+        g = np.zeros(2 * top + 1, dtype=complex)
+        for rho, mu, vec, delta, harmonic in shells:
+            d = ((vec * np.exp(-1j * t * mu)) @ vec.conj().T).real
+            # G = d diag(delta) d^T is symmetric, so rho * G pairs rho[a, a'] with G[a', a]
+            np.add.at(g, harmonic, (rho * ((d * delta) @ d.T)).ravel())
+        ph = phis[points]
+        harmonics = np.flatnonzero(g).tolist()
+        values[points] = sum(g[k] * np.exp(1j * (k - top) * ph) for k in harmonics)
     bad = np.flatnonzero(np.abs(values.imag) > _IMAG_TOL)
     if bad.size:
         raise NumericError(

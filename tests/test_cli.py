@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -637,3 +638,10 @@ def test_parse_state_text_raises_only_documented_errors(kind, spins, rest):
     except (sw.ValidationError, sw.CapacityError):
         return
     assert isinstance(spec, sw.StateSpec)
+
+
+def test_package_version_matches_pyproject():
+    # the CSV header carries __version__, so the two must move together
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == sw.__version__

@@ -65,7 +65,7 @@ def test_radial_integral_swap_symmetry():
                 for c in (-0.85, -0.2, 0.0, 0.55):
                     a = sw.radial_integral_I(i, j, alpha, c)
                     b = sw.radial_integral_I(j, i, alpha, -c)
-                    assert a == pytest.approx(b, rel=1e-13, abs=1e-13)
+                    assert a == b
 
 
 def test_radial_integral_against_quadrature_subset():
@@ -243,7 +243,7 @@ def test_derived_normalization_rule_matches_dense_rule(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_default_radial_nodes_match_wider_rule(n):
     # every family is same-shell, so the closed form is the exact reference
-    # for the n + 2 node radial rule
+    # for the (n + 3) // 2 node radial rule
     t, p = np.meshgrid(np.linspace(0.0, math.pi, 7), np.linspace(0.0, 2.0 * math.pi, 9),
                        indexing="ij")
     for d in _family_densities(n):
@@ -294,8 +294,8 @@ def test_ws_analytic_radial_reuse_is_exact(n, state, monkeypatch):
 
     monkeypatch.setattr(sphere_mod, "radial_integral_I", counted)
     reused = sw.ws_analytic(lm, theta, phi)
-    # summed once per theta, not once per (theta, phi)
-    assert len(calls) <= 16 * len(lm.same_shell)
+    # one radial factor per diagonal element of each shell, at the pole only
+    assert len(calls) <= sum(two_l + 1 for two_l in {t[0] for t in lm.same_shell})
     monkeypatch.setattr(sphere_mod, "radial_integral_I", sw.radial_integral_I)
     assert reused.tolist() == [float(sw.ws_analytic(lm, t, p)) for t, p in zip(theta, phi)]
 
@@ -330,8 +330,44 @@ def _ws_analytic_per_term(lm, theta, phi):
 def test_ws_analytic_hoisted_terms_match_per_term_sum(n, state):
     lm = LmDensity.from_density(push_pure(n, state(n).amplitudes))
     theta, phi = _grid_angles()
-    assert sw.ws_analytic(lm, theta, phi).tolist() == [
-        _ws_analytic_per_term(lm, t, p) for t, p in zip(theta.tolist(), phi.tolist())]
+    expect = np.array([_ws_analytic_per_term(lm, t, p)
+                       for t, p in zip(theta.tolist(), phi.tolist())])
+    gap = np.max(np.abs(sw.ws_analytic(lm, theta, phi) - expect))
+    assert gap <= 1e-14 * np.max(np.abs(expect))
+
+
+def _block_density(n, total, block):
+    """Fock density holding ``block`` on the rows (k, total - k), k = 0..total."""
+    idx = fock_index(n)
+    rows = [idx[(k, total - k)] for k in range(total + 1)]
+    e = np.zeros((len(idx), len(idx)), dtype=complex)
+    e[np.ix_(rows, rows)] = block
+    return sw.OscillatorDensity.from_fock_elements(n, e)
+
+
+def test_ws_analytic_at_forty_spins():
+    n = 40
+    t, p = np.meshgrid([0.0, 0.4, 1.3, math.pi / 2, 2.9, math.pi, -5.0],
+                       [0.0, 1.1, 4.0, 17.0], indexing="ij")
+    # the identity on a shell integrates to its dimension and is isotropic
+    for total in (0, 1, 7, 20, 40):
+        lm = LmDensity.from_density(_block_density(n, total, np.eye(total + 1)))
+        expect = (total + 1) / (4.0 * math.pi)
+        assert np.max(np.abs(sw.ws_analytic(lm, t, p) - expect)) <= 1e-13 * expect
+    k = np.arange(n + 1)
+    binom = np.array([math.comb(n, int(j)) for j in k], dtype=float)
+    amp = np.sqrt(binom) * np.cos(0.35) ** k * (np.exp(0.8j) * np.sin(0.35)) ** (n - k)
+    d = _block_density(n, n, np.outer(amp, amp.conj()))
+    lm = LmDensity.from_density(d)
+    tt, pp = np.array([0.2, 0.7, 1.0, 2.0, 3.0]), np.array([0.8, 0.5, 3.5, 0.8, 6.0])
+    exact = sw.ws_analytic(lm, tt, pp)
+    assert np.max(np.abs(exact - sw.ws_numeric_many(d, tt, pp))) <= 1e-12 * np.max(np.abs(exact))
+    # the exact (n//2 + 1) x (n + 1) angular rule of sphere_normalization
+    cos_nodes, cos_weights = np.polynomial.legendre.leggauss(n // 2 + 1)
+    phis = np.arange(n + 1) * (2.0 * math.pi / (n + 1))
+    vals = sw.ws_analytic(lm, np.arccos(cos_nodes)[:, None], phis[None, :])
+    assert np.sum(vals.sum(axis=1) * cos_weights) * (2.0 * math.pi / (n + 1)) == pytest.approx(
+        1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("n, state", [
