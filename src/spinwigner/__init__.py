@@ -1,26 +1,24 @@
 """Continuous Wigner-like quasi-probability functions for spin ensembles.
 
-The pipeline: build collective spin operators and the labelled (k, l, m)
-eigenbasis (``spin_core``), embed the spin space into a truncated two-mode
-Fock space (``omega_map``), evaluate the four-dimensional Wigner function
-through oscillator Moyal functions (``moyal``), reduce it to three
-variables through the Hopf contraction (``reduced_space``), and integrate
-radially onto the sphere (``sphere``). ``states`` builds the standard
-state families and ``cli`` exposes grid evaluation as a command line tool.
+The pipeline: build the labelled (k, l, m) eigenbasis with collective spin
+operators applied by bit flips (``spin_core``), embed the spin space into a
+truncated two-mode Fock space (``omega_map``), evaluate the four-dimensional
+Wigner function through oscillator Moyal functions (``moyal``), reduce it to
+three variables through the Hopf contraction (``reduced_space``), and
+integrate radially onto the sphere (``sphere``). ``states`` builds the
+standard state families and ``cli`` exposes grid evaluation as a command
+line tool.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (
     AngularBasis,
     SpinMixture,
     SpinState,
-    build_collective_spin,
     decompose_angular_basis,
-    ladder,
     shell_multiplicity,
-    total_spin_squared,
 )
 from .omega_map import (
     OmegaMap,
@@ -28,8 +26,6 @@ from .omega_map import (
     construct_omega,
     fock_states,
     intertwining_residual,
-    jordan_schwinger,
-    jordan_schwinger_squared,
     push_density,
     push_operator,
 )
@@ -70,7 +66,6 @@ __all__ = [
     "SpinWignerError",
     "StateSpec",
     "ValidationError",
-    "build_collective_spin",
     "cat_state",
     "check_fiber_invariance",
     "construct_omega",
@@ -80,9 +75,6 @@ __all__ = [
     "hopf_forward_arrays",
     "hopf_section_arrays",
     "intertwining_residual",
-    "jordan_schwinger",
-    "jordan_schwinger_squared",
-    "ladder",
     "laguerre",
     "mixture",
     "moyal_1d",
@@ -96,7 +88,6 @@ __all__ = [
     "sphere_normalization",
     "spin_coherent",
     "squeezed_state",
-    "total_spin_squared",
     "wigner_4d_many",
     "wigner_complex_many",
     "ws_analytic",

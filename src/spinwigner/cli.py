@@ -259,7 +259,7 @@ def parse_state_text(text: str) -> StateSpec:
 
     kind = field("kind")[0]
     n = _number(field("spins")[0], "spins", int, lo=1)
-    _check_capacity(n, None)  # before anything of size 2^n is built
+    _check_capacity(n)  # before anything of size 2^n is built
     if kind not in _KIND_KEYS:
         raise ValidationError(f"unknown state kind {kind!r}")
     for key, _ in entries:

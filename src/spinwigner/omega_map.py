@@ -7,8 +7,8 @@ the selected degeneracy tower of each shell is sent to |l+m, l-m>; all
 other towers are annihilated. The embedding intertwines the collective spin
 components with their two-mode bilinears, which keep the total: J_+ =
 a1^dag a2 is a weighted one-row shift inside each total, so the check runs
-one total at a time. The Gram matrix is an orthogonal projector onto the
-represented subspace.
+one total at a time. The Gram matrix c^H c of the coefficients c is an
+orthogonal projector onto the represented subspace.
 """
 
 from __future__ import annotations
@@ -47,33 +47,6 @@ def _raise_weights(cutoff: int) -> np.ndarray:
     return np.sqrt(n1 * (n2 + 1.0))
 
 
-def jordan_schwinger(fock_cutoff: int, axis: int) -> np.ndarray:
-    """Angular-momentum component as a two-mode ladder bilinear.
-
-    J_+ = a1^dag a2 is ``_raise_weights`` on the first sub-diagonal, J_- its
-    transpose, J_3 the diagonal (n1 - n2) / 2. None changes the total
-    excitation, so the su(2) relations hold to machine precision on the
-    truncated basis.
-    """
-    if fock_cutoff < 1:
-        raise ValidationError(f"fock_cutoff must be >= 1, got {fock_cutoff}")
-    if axis not in (1, 2, 3):
-        raise ValidationError(f"axis must be 1, 2 or 3, got {axis!r}")
-    jp = np.diag(_raise_weights(fock_cutoff)[1:], -1).astype(complex)
-    if axis == 1:
-        return (jp + jp.T) / 2.0
-    if axis == 2:
-        return (jp - jp.T) / 2.0j
-    n1, n2 = np.array(fock_states(fock_cutoff)).T
-    return np.diag((n1 - n2) / 2.0).astype(complex)
-
-
-def jordan_schwinger_squared(fock_cutoff: int) -> np.ndarray:
-    """Two-mode counterpart of total spin squared."""
-    j1, j2, j3 = (jordan_schwinger(fock_cutoff, ax) for ax in (1, 2, 3))
-    return j1 @ j1 + j2 @ j2 + j3 @ j3
-
-
 @dataclass(frozen=True)
 class OmegaMap:
     """Linear map coefficients against the truncated Fock basis.
@@ -91,14 +64,6 @@ class OmegaMap:
         if c.shape != expect:
             raise ValidationError(f"coefficient shape {c.shape}, expected {expect}")
         object.__setattr__(self, "coefficients", _readonly(c))
-
-    @property
-    def represented_rank(self) -> int:
-        """Rank of the Gram projector: one (2l+1) block per distinct shell."""
-        return sum(two_l + 1 for two_l in range(self.n, (self.n % 2) - 1, -2))
-
-    def gram(self) -> np.ndarray:
-        return self.coefficients.conj().T @ self.coefficients
 
 
 @dataclass(frozen=True)

@@ -207,9 +207,9 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
         a = np.arange(two_l + 1)
         upper = 0.5j * np.sqrt(a[1:] * (two_l + 1 - a[1:]))
         mu, vec = np.linalg.eigh(np.diag(upper, 1) + np.diag(upper.conj(), -1))
-        parity = -1.0 if two_l % 2 else 1.0
-        delta = np.array([parity / (4.0 * math.pi) * radial_integral_I(two_l - k, k, 0, 1.0)
-                          for k in a.tolist()])
+        # at the pole (c = 1) the radial factor radial_integral_I(2l - a, a, 0, 1.0)
+        # is the integer (-1)^a (2a + 1)
+        delta = np.where((two_l + a) % 2, -1.0, 1.0) / (4.0 * math.pi) * (2 * a + 1)
         shells.append((rho, mu, vec, delta, (top + a[:, None] - a[None, :]).ravel()))
     phis = phi.ravel()
     values = np.zeros(theta.size, dtype=complex)

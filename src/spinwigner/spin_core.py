@@ -1,5 +1,5 @@
-"""Collective spin operators and the labelled (S^2, S_3) eigenbasis, which
-is read one shell at a time through ``AngularBasis.towers``.
+"""Collective spin algebra by bit flips and the labelled (S^2, S_3)
+eigenbasis, which is read one shell at a time through ``AngularBasis.towers``.
 
 Conventions used throughout the package:
 
@@ -15,7 +15,7 @@ Conventions used throughout the package:
 
 Everything returned here is immutable: arrays are marked read-only, so a
 cached array (``_s3_diagonal``), a validated one (a state's amplitudes) or
-a built 2^n x 2^n operator cannot be changed after it was checked or shared.
+a built tower cannot be changed after it was checked or shared.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ import numpy as np
 
 from .errors import CapacityError, NumericError, ValidationError
 
-#: Largest spin count accepted by default. States, the embedding's towers
-#: and the push are handled by O(n 2^n) bit flips; what stays dense (4^n
-#: memory, 268 MB complex at n = 12) is the ``operator`` kind's matrix and
-#: the dense operator builders.
+#: Largest spin count accepted. States, the embedding's towers and the push
+#: are handled by O(n 2^n) bit flips; what stays dense (4^n memory, 268 MB
+#: complex at n = 12) is the ``operator`` kind's matrix.
 DEFAULT_MAX_SPINS = 12
 
 _NORM_TOL = 1e-9
@@ -39,13 +38,11 @@ _WEIGHT_TOL = 1e-12
 _GS_TOL = 1e-7
 
 
-def _check_capacity(n: int, max_spins: int | None) -> None:
-    limit = DEFAULT_MAX_SPINS if max_spins is None else max_spins
-    if n < 1 or n > limit:
+def _check_capacity(n: int) -> None:
+    if n < 1 or n > DEFAULT_MAX_SPINS:
         raise CapacityError(
-            f"spin count {n} outside supported range 1..{limit} "
-            "(raise max_spins to allow more; the operator kind and the dense "
-            "builders take 4^n memory)"
+            f"spin count {n} outside supported range 1..{DEFAULT_MAX_SPINS} "
+            "(the operator kind takes 4^n memory)"
         )
 
 
@@ -173,52 +170,10 @@ def _apply_s2(x: np.ndarray) -> np.ndarray:
     return _apply_ladder(_apply_ladder(x, True), False) + (s3 * (s3 + 1.0)) * x
 
 
-def _ladder_plus(n: int) -> np.ndarray:
-    """Collective raising operator: sum over sites of |up><down|."""
-    return _apply_ladder(np.eye(2**n, dtype=complex), True)
-
-
 @lru_cache(maxsize=64)
 def _s3_diagonal(n: int) -> np.ndarray:
     counts = np.array([bin(i).count("1") for i in range(2**n)], dtype=float)
     return _readonly(counts - n / 2.0)
-
-
-def _collective(n: int, axis: int) -> np.ndarray:
-    sp = _ladder_plus(n)
-    sm = sp.conj().T
-    if axis == 1:
-        return (sp + sm) / 2.0
-    if axis == 2:
-        return (sp - sm) / 2.0j
-    return np.diag(_s3_diagonal(n)).astype(complex)
-
-
-def build_collective_spin(n: int, axis: int, *, max_spins: int | None = None) -> np.ndarray:
-    """Collective spin component: half the sum of single-site Pauli matrices.
-
-    ``axis`` is 1, 2 or 3 for the x, y, z components.
-    """
-    _check_capacity(n, max_spins)
-    if axis not in (1, 2, 3):
-        raise ValidationError(f"axis must be 1, 2 or 3, got {axis!r}")
-    return _readonly(_collective(n, axis))
-
-
-def total_spin_squared(n: int, *, max_spins: int | None = None) -> np.ndarray:
-    """Total spin squared S^2 = S_1^2 + S_2^2 + S_3^2."""
-    _check_capacity(n, max_spins)
-    return _readonly(_apply_s2(np.eye(2**n, dtype=complex)))
-
-
-def ladder(n: int, direction: str, *, max_spins: int | None = None) -> np.ndarray:
-    """Collective ladder operator S_+ ("raise") or S_- ("lower")."""
-    _check_capacity(n, max_spins)
-    if direction == "raise":
-        return _readonly(_ladder_plus(n))
-    if direction == "lower":
-        return _readonly(_ladder_plus(n).conj().T)
-    raise ValidationError(f'direction must be "raise" or "lower", got {direction!r}')
 
 
 def _shell_towers(n: int, two_l: int, count: int) -> np.ndarray:
@@ -263,11 +218,11 @@ def _shell_towers(n: int, two_l: int, count: int) -> np.ndarray:
     return _readonly(towers)
 
 
-def decompose_angular_basis(n: int, *, max_spins: int | None = None) -> AngularBasis:
+def decompose_angular_basis(n: int) -> AngularBasis:
     """The (k, l, m) eigenbasis of n spins after a capacity check.
 
     No tower is built here: ``AngularBasis.towers`` builds the ones a caller
     asks for. Repeated builds return bit-identical vectors.
     """
-    _check_capacity(n, max_spins)
+    _check_capacity(n)
     return AngularBasis(n)

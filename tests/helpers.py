@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 import spinwigner as sw
-from spinwigner.spin_core import _apply_ladder, _s3_diagonal
+from spinwigner.omega_map import _raise_weights
+from spinwigner.spin_core import _apply_ladder, _apply_s2, _s3_diagonal
 
 _OMEGA_CACHE: dict[int, sw.OmegaMap] = {}
 
@@ -19,6 +20,40 @@ def omega(n: int) -> sw.OmegaMap:
 def fock_index(cutoff: int) -> dict[tuple[int, int], int]:
     """Position of each (n1, n2) in the truncated Fock basis."""
     return {pair: i for i, pair in enumerate(sw.fock_states(cutoff))}
+
+
+def dense_ladder(n: int, raising: bool) -> np.ndarray:
+    """Collective S_+ (``raising``) or S_- as a 2^n x 2^n matrix: the bit
+    flips the pipeline applies, acting on the identity."""
+    return _apply_ladder(np.eye(2**n, dtype=complex), raising)
+
+
+def dense_spin(n: int, axis: int) -> np.ndarray:
+    """Collective spin component S_1, S_2 or S_3 (``axis`` 1, 2, 3) as a matrix."""
+    if axis == 3:
+        return np.diag(_s3_diagonal(n)).astype(complex)
+    sp, sm = dense_ladder(n, True), dense_ladder(n, False)
+    return (sp + sm) / 2.0 if axis == 1 else (sp - sm) / 2.0j
+
+
+def dense_spin_squared(n: int) -> np.ndarray:
+    """Total spin squared as the pipeline applies it, acting on the identity."""
+    return _apply_s2(np.eye(2**n, dtype=complex))
+
+
+def dense_jordan_schwinger(cutoff: int, axis: int) -> np.ndarray:
+    """Two-mode bilinear J_1, J_2 or J_3 from the row weights the pipeline
+    shifts by: J_+ = a1^dag a2 has ``_raise_weights`` on its first sub-diagonal."""
+    if axis == 3:
+        n1, n2 = np.array(sw.fock_states(cutoff)).T
+        return np.diag((n1 - n2) / 2.0).astype(complex)
+    jp = np.diag(_raise_weights(cutoff)[1:], -1).astype(complex)
+    return (jp + jp.T) / 2.0 if axis == 1 else (jp - jp.T) / 2.0j
+
+
+def dense_jordan_schwinger_squared(cutoff: int) -> np.ndarray:
+    j1, j2, j3 = (dense_jordan_schwinger(cutoff, ax) for ax in (1, 2, 3))
+    return j1 @ j1 + j2 @ j2 + j3 @ j3
 
 
 def reference_lowering(cutoff: int, mode: int) -> np.ndarray:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import spinwigner as sw
 from spinwigner.cli import main, parse_grid, parse_state_text
 
+from helpers import dense_spin_squared
+
 
 ROOT2 = math.sqrt(2.0)
 
@@ -461,7 +463,7 @@ def test_non_commuting_raw_mixture_residual_and_refusal(tmp_path, capsys):
                       _raw_component(0.4, (up - singlet) / ROOT2)]) + "\n"
     mix = sw.realize_operator(parse_state_text(text))
     rho = np.asarray(mix)
-    s2 = sw.total_spin_squared(2)
+    s2 = dense_spin_squared(2)
     dense = float(np.max(np.abs(rho @ s2 - s2 @ rho)))
     assert dense > 0.1
     om = sw.construct_omega(sw.decompose_angular_basis(2))

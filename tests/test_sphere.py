@@ -10,7 +10,7 @@ import spinwigner as sw
 import spinwigner.sphere as sphere_mod
 from spinwigner.sphere import LmDensity
 
-from helpers import basis_vector, fock_index, omega, push_pure, singlet_vector
+from helpers import basis_vector, dense_spin, fock_index, omega, push_pure, singlet_vector
 
 
 def test_ws_singlet_is_uniform():
@@ -294,10 +294,17 @@ def test_ws_analytic_radial_reuse_is_exact(n, state, monkeypatch):
 
     monkeypatch.setattr(sphere_mod, "radial_integral_I", counted)
     reused = sw.ws_analytic(lm, theta, phi)
-    # one radial factor per diagonal element of each shell, at the pole only
-    assert len(calls) <= sum(two_l + 1 for two_l in {t[0] for t in lm.same_shell})
+    # the radial factors at the pole are integers (see the test below)
+    assert calls == []
     monkeypatch.setattr(sphere_mod, "radial_integral_I", sw.radial_integral_I)
     assert reused.tolist() == [float(sw.ws_analytic(lm, t, p)) for t, p in zip(theta, phi)]
+
+
+def test_pole_radial_factor_is_an_integer():
+    # ws_analytic takes delta_m(l) from this identity instead of the series
+    for two_l in (6, 12, 40, 100):
+        for a in range(two_l + 1):
+            assert sw.radial_integral_I(two_l - a, a, 0, 1.0) == (-1) ** a * (2 * a + 1)
 
 
 def _ws_analytic_per_term(lm, theta, phi):
@@ -393,7 +400,7 @@ def test_rotation_about_z_shifts_azimuth():
     n = 3
     psi = sw.spin_coherent(n, 1.1, 0.3)
     chi = 0.83
-    u = expm(1j * chi * sw.build_collective_spin(n, 3))
+    u = expm(1j * chi * dense_spin(n, 3))
     om = omega(n)
     d0 = sw.push_density(om, psi.density)
     d1 = sw.push_density(om, u @ psi.density @ u.conj().T)

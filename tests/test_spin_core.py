@@ -1,16 +1,14 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import spinwigner as sw
 from spinwigner.errors import CapacityError
 
-from helpers import basis_vector
+from helpers import basis_vector, dense_ladder, dense_spin, dense_spin_squared
 
 
 def test_single_spin_s3_is_half_pauli():
-    s3 = sw.build_collective_spin(1, 3)
+    s3 = dense_spin(1, 3)
     up = basis_vector(1, 1)
     down = basis_vector(1, 0)
     assert np.allclose(s3 @ up, 0.5 * up, atol=1e-15)
@@ -18,13 +16,13 @@ def test_single_spin_s3_is_half_pauli():
 
 
 def test_two_spin_all_up_has_unit_s3():
-    s3 = sw.build_collective_spin(2, 3)
+    s3 = dense_spin(2, 3)
     v = basis_vector(2, 0b11)
     assert np.allclose(s3 @ v, 1.0 * v, atol=1e-15)
 
 
 def test_three_spin_all_up_has_three_halves_s3():
-    s3 = sw.build_collective_spin(3, 3)
+    s3 = dense_spin(3, 3)
     v = basis_vector(3, 0b111)
     assert np.allclose(s3 @ v, 1.5 * v, atol=1e-15)
 
@@ -32,37 +30,37 @@ def test_three_spin_all_up_has_three_halves_s3():
 def test_operators_hermitian():
     for n in (1, 2, 4):
         for axis in (1, 2, 3):
-            m = sw.build_collective_spin(n, axis)
+            m = dense_spin(n, axis)
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12
-    s2 = sw.total_spin_squared(3)
+    s2 = dense_spin_squared(3)
     assert np.max(np.abs(s2 - s2.conj().T)) <= 1e-12
 
 
 def test_total_spin_eigenvalues():
-    assert np.allclose(sw.total_spin_squared(1), 0.75 * np.eye(2))
+    assert np.allclose(dense_spin_squared(1), 0.75 * np.eye(2))
 
-    ev2 = np.sort(np.linalg.eigvalsh(sw.total_spin_squared(2)))
+    ev2 = np.sort(np.linalg.eigvalsh(dense_spin_squared(2)))
     assert np.allclose(ev2, [0.0, 2.0, 2.0, 2.0], atol=1e-12)
 
-    ev3 = np.sort(np.linalg.eigvalsh(sw.total_spin_squared(3)))
+    ev3 = np.sort(np.linalg.eigvalsh(dense_spin_squared(3)))
     assert np.allclose(ev3, [0.75] * 4 + [3.75] * 4, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_su2_commutators(n):
-    s = [sw.build_collective_spin(n, ax) for ax in (1, 2, 3)]
+    s = [dense_spin(n, ax) for ax in (1, 2, 3)]
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         comm = s[i] @ s[j] - s[j] @ s[i]
         assert np.max(np.abs(comm - 1j * s[k])) <= 1e-12
-    s2 = sw.total_spin_squared(n)
+    s2 = dense_spin_squared(n)
     for m in s:
         assert np.max(np.abs(s2 @ m - m @ s2)) <= 1e-12
 
 
 def test_ladder_annihilates_extremes():
     for n in (1, 3, 5):
-        sp = sw.ladder(n, "raise")
-        sm = sw.ladder(n, "lower")
+        sp = dense_ladder(n, True)
+        sm = dense_ladder(n, False)
         top = basis_vector(n, 2**n - 1)
         bottom = basis_vector(n, 0)
         assert np.max(np.abs(sp @ top)) == 0.0
@@ -71,9 +69,9 @@ def test_ladder_annihilates_extremes():
 
 def test_ladder_commutator_with_s3():
     n = 3
-    s3 = sw.build_collective_spin(n, 3)
-    for direction, sign in (("raise", 1.0), ("lower", -1.0)):
-        sx = sw.ladder(n, direction)
+    s3 = dense_spin(n, 3)
+    for raising, sign in ((True, 1.0), (False, -1.0)):
+        sx = dense_ladder(n, raising)
         assert np.max(np.abs(s3 @ sx - sx @ s3 - sign * sx)) <= 1e-12
 
 
@@ -81,24 +79,17 @@ def test_lower_raise_on_bottom_scales_by_spin_count():
     # l = n/2, m = -n/2: the ladder product eigenvalue l(l+1) - m(m+1) = n,
     # checked against the explicit matrix product
     for n in (2, 4, 5):
-        sp = sw.ladder(n, "raise")
-        sm = sw.ladder(n, "lower")
+        sp = dense_ladder(n, True)
+        sm = dense_ladder(n, False)
         bottom = basis_vector(n, 0)
         assert np.allclose(sm @ (sp @ bottom), n * bottom, atol=1e-12)
 
 
-def test_ladder_direction_validation():
-    with pytest.raises(sw.ValidationError):
-        sw.ladder(2, "up")
-
-
 def test_capacity_errors():
     with pytest.raises(CapacityError):
-        sw.build_collective_spin(0, 3)
+        sw.decompose_angular_basis(0)
     with pytest.raises(CapacityError):
-        sw.total_spin_squared(13)
-    with pytest.raises(CapacityError):
-        sw.decompose_angular_basis(4, max_spins=3)
+        sw.decompose_angular_basis(13)
 
 
 def test_public_names_resolve_once():
@@ -107,9 +98,12 @@ def test_public_names_resolve_once():
         assert getattr(sw, name) is not None, name
     removed = ("BasisEntry", "PhasePoint3", "PhasePoint4", "wigner_4d", "wigner_4d_complex",
                "reduced_wigner", "ws_numeric", "hopf_forward", "hopf_section", "SphPoint",
-               "SpinOperator")
+               "SpinOperator", "build_collective_spin", "total_spin_squared", "ladder",
+               "jordan_schwinger", "jordan_schwinger_squared")
     for name in removed:
         assert name not in sw.__all__ and not hasattr(sw, name), name
+    for name in ("gram", "represented_rank"):
+        assert not hasattr(sw.OmegaMap, name), name
     assert {"hopf_forward_arrays", "hopf_section_arrays"} <= set(sw.__all__)
 
 
@@ -147,8 +141,8 @@ def test_decompose_is_orthonormal_eigenbasis(n):
     u = np.column_stack([v for *_, v in entries])
     assert np.max(np.abs(u.conj().T @ u - np.eye(2**n))) <= 1e-10
 
-    s2 = sw.total_spin_squared(n)
-    s3 = sw.build_collective_spin(n, 3)
+    s2 = dense_spin_squared(n)
+    s3 = dense_spin(n, 3)
     for _, two_l, two_m, v in entries:
         l, m = two_l / 2.0, two_m / 2.0
         assert np.max(np.abs(s2 @ v - l * (l + 1) * v)) <= 1e-10
@@ -188,15 +182,3 @@ def test_spin_state_validation():
     with pytest.raises(sw.ValidationError):
         sw.SpinState(1, np.array([1.0, 1.0]))  # not normalized
 
-
-def test_dense_builders_keep_no_operator_alive():
-    tracemalloc.start()
-    try:
-        for axis in (1, 2, 3):
-            sw.build_collective_spin(9, axis)
-        sw.total_spin_squared(9)
-        sw.ladder(9, "raise")
-        current, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert current < 1e6  # one 2^9 x 2^9 complex operator is 4.2 MB

@@ -5,7 +5,7 @@ import pytest
 
 import spinwigner as sw
 
-from helpers import basis_vector, omega
+from helpers import basis_vector, dense_ladder, dense_spin, dense_spin_squared, omega
 
 
 def test_fock_zero_is_all_down():
@@ -15,12 +15,12 @@ def test_fock_zero_is_all_down():
 
 def test_fock_one_matches_scaled_ladder():
     st = sw.fock_state(5, 1)
-    manual = sw.ladder(5, "raise") @ basis_vector(5, 0) / math.sqrt(5.0)
+    manual = dense_ladder(5, True) @ basis_vector(5, 0) / math.sqrt(5.0)
     assert np.max(np.abs(st.amplitudes - manual)) <= 1e-14
 
 
 def test_fock_two_normalization_prefactor():
-    sp = sw.ladder(5, "raise")
+    sp = dense_ladder(5, True)
     raised_twice = sp @ (sp @ basis_vector(5, 0))
     assert np.linalg.norm(raised_twice) == pytest.approx(math.sqrt(40.0), abs=1e-12)
     st = sw.fock_state(5, 2)
@@ -30,7 +30,7 @@ def test_fock_two_normalization_prefactor():
 def test_fock_is_s3_eigenstate():
     for n, k in ((4, 1), (5, 3), (6, 6)):
         st = sw.fock_state(n, k)
-        s3 = sw.build_collective_spin(n, 3)
+        s3 = dense_spin(n, 3)
         m = k - n / 2.0
         assert np.max(np.abs(s3 @ st.amplitudes - m * st.amplitudes)) <= 1e-11
 
@@ -60,7 +60,7 @@ def test_spin_coherent_equator_single_spin():
 def test_spin_coherent_stays_in_outer_shell():
     for n in (2, 3, 5):
         st = sw.spin_coherent(n, 1.1, 2.2)
-        s2 = sw.total_spin_squared(n)
+        s2 = dense_spin_squared(n)
         l = n / 2.0
         assert np.max(np.abs(s2 @ st.amplitudes - l * (l + 1) * st.amplitudes)) <= 1e-10
 
@@ -130,7 +130,7 @@ def test_squeezed_preserves_norm_and_shell():
     for beta in (0.1, 0.2, 0.15 + 0.1j):
         st = sw.squeezed_state(5, beta, base)
         assert abs(np.linalg.norm(st.amplitudes) - 1.0) <= 1e-12
-        s2 = sw.total_spin_squared(5)
+        s2 = dense_spin_squared(5)
         l = 2.5
         assert np.max(np.abs(s2 @ st.amplitudes - l * (l + 1) * st.amplitudes)) <= 1e-10
 
@@ -143,8 +143,8 @@ def _variance(op: np.ndarray, vec: np.ndarray) -> float:
 def test_squeezed_small_beta_squeezes_first_axis():
     n = 5
     base = sw.spin_coherent(n, 0.0, 0.0)
-    s1 = sw.build_collective_spin(n, 1)
-    s2 = sw.build_collective_spin(n, 2)
+    s1 = dense_spin(n, 1)
+    s2 = dense_spin(n, 2)
     coherent_var = n / 4.0
     st = sw.squeezed_state(n, 0.1, base)
     assert _variance(s1, st.amplitudes) < coherent_var

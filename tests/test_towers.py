@@ -7,6 +7,8 @@ import pytest
 
 import spinwigner as sw
 
+from helpers import dense_spin_squared
+
 
 def _shells(n):
     return range(n, (n % 2) - 1, -2)
@@ -20,7 +22,7 @@ def _dense_highest_weights(n, two_l):
     non-negligible amplitude in that order is made positive. Returned as rows
     in full 2^n coordinates.
     """
-    evals, evecs = np.linalg.eigh(sw.total_spin_squared(n))
+    evals, evecs = np.linalg.eigh(dense_spin_squared(n))
     l = two_l / 2.0
     keep = np.abs(evals - l * (l + 1.0)) < 0.25
     proj = evecs[:, keep] @ evecs[:, keep].conj().T
