@@ -10,7 +10,7 @@ standard state families and ``cli`` exposes grid evaluation as a command
 line tool.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (

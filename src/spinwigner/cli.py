@@ -93,7 +93,7 @@ class GridAxis:
         return np.linspace(self.lo, self.hi, self.samples)
 
     def describe(self) -> str:
-        return f"{self.name}:{self.lo:g}:{self.hi:g}:{self.samples}"
+        return f"{self.name}:{self.lo!r}:{self.hi!r}:{self.samples}"
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class GridSpec:
     def describe(self) -> str:
         out = f"{self.kind} " + ",".join(a.describe() for a in self.axes)
         if self.fixed:
-            out += " fixed " + ",".join(f"{k}={v:g}" for k, v in self.fixed)
+            out += " fixed " + ",".join(f"{k}={v!r}" for k, v in self.fixed)
         return out
 
     def total_points(self) -> int:

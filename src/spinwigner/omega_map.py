@@ -2,12 +2,13 @@
 
 The truncated Fock basis enumerates pairs (n1, n2) with n1 + n2 <= cutoff,
 ordered by total excitation and then by n1, so index 0 is (0, 0) and the
-rows of total T are [T(T+1)/2, (T+1)(T+2)/2). A basis vector |k, l, m> from
-the selected degeneracy tower of each shell is sent to |l+m, l-m>; all
-other towers are annihilated. The embedding intertwines the collective spin
-components with their two-mode bilinears, which keep the total: J_+ =
+rows of total T are [T(T+1)/2, (T+1)(T+2)/2). A basis vector |0, l, m> of
+the first degeneracy tower of each shell is sent to |l+m, l-m>, so shell 2l
+fills exactly the rows of total T = 2l; all other towers are annihilated.
+The towers are real, so the map is. The embedding intertwines the collective
+spin components with their two-mode bilinears, which keep the total: J_+ =
 a1^dag a2 is a weighted one-row shift inside each total, so the check runs
-one total at a time. The Gram matrix c^H c of the coefficients c is an
+one total at a time. The Gram matrix c^T c of the coefficients c is an
 orthogonal projector onto the represented subspace.
 """
 
@@ -19,8 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .spin_core import (AngularBasis, SpinMixture, _apply_ladder, _apply_s2, _readonly,
-                        _s3_diagonal, shell_multiplicity)
+from .spin_core import AngularBasis, SpinMixture, _apply_ladder, _apply_s2, _readonly, _s3_diagonal
 
 _HERM_TOL = 1e-10
 _PSD_TOL = 1e-10
@@ -52,14 +52,18 @@ class OmegaMap:
     """Linear map coefficients against the truncated Fock basis.
 
     ``coefficients[f, j]`` is the amplitude of Fock basis state f in the
-    image of computational basis state j.
+    image of computational basis state j. They are real (float64); a complex
+    array is accepted only when its imaginary part is zero.
     """
 
     n: int
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
+        c = np.asarray(self.coefficients)
+        if np.iscomplexobj(c) and np.any(c.imag):
+            raise ValidationError("coefficients have a non-zero imaginary part; the map is real")
+        c = np.ascontiguousarray(c.real, dtype=float)
         expect = (len(fock_states(self.n)), 2**self.n)
         if c.shape != expect:
             raise ValidationError(f"coefficient shape {c.shape}, expected {expect}")
@@ -109,38 +113,18 @@ class OscillatorDensity:
         return cls(n, e, float(np.trace(e).real), residual)
 
 
-def construct_omega(basis: AngularBasis,
-                    shell_mixing: dict[int, np.ndarray] | None = None) -> OmegaMap:
+def construct_omega(basis: AngularBasis) -> OmegaMap:
     """Build the canonical embedding from a labelled eigenbasis.
 
-    By default the first degeneracy tower (k = 0) of each shell is the one
-    represented, and only that tower is built. ``shell_mixing`` optionally
-    supplies, per doubled shell label, a unitary of the shell's multiplicity
-    that remixes its towers first; row 0 of the unitary then defines the
-    represented tower, and every tower of that shell is built. The
-    intertwining property is verified before returning.
+    The first degeneracy tower (k = 0) of each shell is the one represented,
+    and only that tower is built. The intertwining property is verified
+    before returning.
     """
     n = basis.n
-    coeff = np.zeros((len(fock_states(n)), 2**n), dtype=complex)
-
-    mixing = {}
-    for two_l, u in (shell_mixing or {}).items():
-        u = np.asarray(u, dtype=complex)
-        d = shell_multiplicity(n, two_l)
-        with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf is refused below
-            unitary = (d > 0 and u.shape == (d, d)
-                       and np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-12)
-        if not unitary:
-            raise ValidationError(f"shell_mixing[{two_l}] is not a unitary on the shell's "
-                                  f"{d} towers")
-        mixing[two_l] = u
-
+    coeff = np.zeros((len(fock_states(n)), 2**n))
     for two_l in range(n, (n % 2) - 1, -2):
-        u = mixing.get(two_l)
-        tower = (basis.towers(two_l, 1)[0] if u is None
-                 else np.tensordot(u[0], basis.towers(two_l, len(u)), axes=1))
         lo = two_l * (two_l + 1) // 2
-        coeff[lo:lo + two_l + 1] = tower[::-1].conj()  # row lo + n1 holds m = n1 - l
+        coeff[lo:lo + two_l + 1] = basis.towers(two_l, 1)[0][::-1]  # row lo + n1 holds m = n1 - l
 
     omega = OmegaMap(n, coeff)
     residual = intertwining_residual(omega)
@@ -206,7 +190,7 @@ def _push_dense(omega: OmegaMap, op: np.ndarray) -> OscillatorDensity:
     # op S^2 - S^2 op, with op S^2 = (S^2 op^T)^T since S^2 is real symmetric
     residual = float(np.max(np.abs(_apply_s2(op.T).T - _apply_s2(op))))
     c = omega.coefficients
-    return _pushed(omega, c @ op @ c.conj().T, residual)
+    return _pushed(omega, c @ op @ c.T, residual)
 
 
 def _dense_operator(omega: OmegaMap, op: np.ndarray, what: str) -> np.ndarray:

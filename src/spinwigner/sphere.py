@@ -8,15 +8,19 @@ of the state, so normalized fully-represented states integrate to 1.
 Two evaluation routes are provided. The numeric route uses Gauss-Laguerre
 quadrature, exact here because every reduced function is exp(-r) times a
 polynomial. The analytic route takes, per angular-momentum shell, the
-closed form of each diagonal element at the pole, built from terminating
-Gauss series with the radial factor
+closed form of each diagonal element at the pole and rotates it to each
+direction. At the pole the paper's radial factor
 
     I(i, j, alpha; c) = integral_0^inf exp(-r) r^(1+alpha)
         L_j^alpha((1+c) r) L_i^alpha((1-c) r) dr
 
-computed without quadrature, and rotates it to each direction. Coherences
-between different shells have no closed form here and are refused by the
-analytic route.
+has c = 1, where it is the integer (-1)^a (2a + 1) for i = 2l - a, j = a,
+alpha = 0, so the route calls no radial integral. ``radial_integral_I``
+stays as the paper's general closed form for any c, summed exactly from
+terminating Gauss series without quadrature; the tests check that pole
+identity and the per-term closed-form sum against it. Coherences between
+different shells have no closed form here and are refused by the analytic
+route.
 
 Both routes take angle arrays that broadcast together (0-d scalars
 included) and refuse a NaN or inf angle by name. Any finite (theta, phi)
@@ -35,6 +39,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .omega_map import OscillatorDensity, fock_states
 from .moyal import _finite, wigner_complex_many, wigner_4d_many
+from .spin_core import _readonly
 from .reduced_space import _require_commuting, hopf_section_arrays
 
 _IMAG_TOL = 1e-10
@@ -128,39 +133,42 @@ def radial_integral_I(i: int, j: int, alpha: int, c: float) -> float:
 class LmDensity:
     """Operator coefficients against the labelled eigenbasis.
 
-    Same-shell entries are (two_l, two_m_ket, two_m_bra, coefficient) for
-    the operator |l, m_ket><l, m_bra|. Coherences between different shells
-    are carried separately because only same-shell terms have a closed
-    spherical form.
+    Shell 2l of the embedding is exactly the Fock rows of total T = 2l, so
+    ``same_shell[2l]`` is the pushed operator's diagonal block on those rows:
+    row a holds m = a - l, and entry (a, a') multiplies |l, m><l, m'|.
+    Coherences between different shells are carried separately, as
+    (two_l_ket, two_m_ket, two_l_bra, two_m_bra, coefficient), because only
+    same-shell terms have a closed spherical form.
     """
 
     n: int
-    same_shell: tuple[tuple[int, int, int, complex], ...]
+    same_shell: dict[int, np.ndarray]
     cross_shell: tuple[tuple[int, int, int, int, complex], ...]
 
     @classmethod
     def from_density(cls, density: OscillatorDensity) -> "LmDensity":
-        """Relabel Fock matrix elements by their shell quantum numbers.
+        """Read each shell's block off the Fock rows of its total.
 
-        Entries below ``_LM_CUT`` times the largest element (at least 1) are
-        dropped, so that push roundoff never masquerades as a cross-shell
-        coherence.
+        Entries at or below ``_LM_CUT`` times the largest element (at least 1)
+        are zeroed, so that push roundoff never masquerades as a cross-shell
+        coherence; shells left all zero are omitted.
         """
-        tol = _LM_CUT * max(1.0, float(np.max(np.abs(density.elements), initial=0.0)))
-        states = fock_states(density.n)
-        same: list[tuple[int, int, int, complex]] = []
-        cross: list[tuple[int, int, int, int, complex]] = []
-        rows, cols = np.nonzero(np.abs(density.elements) > tol)
-        for f, g in zip(rows, cols):
-            v = complex(density.elements[f, g])
-            bl, bm = states[f][0] + states[f][1], states[f][0] - states[f][1]
-            kl, km = states[g][0] + states[g][1], states[g][0] - states[g][1]
-            # elements[f, g] multiplies |f><g|: ket labels from f, bra from g
-            if bl == kl:
-                same.append((bl, bm, km, v))
-            else:
-                cross.append((bl, bm, kl, km, v))
-        return cls(density.n, tuple(same), tuple(cross))
+        e = density.elements
+        mag = np.abs(e)
+        kept = mag > _LM_CUT * max(1.0, float(np.max(mag, initial=0.0)))
+        same: dict[int, np.ndarray] = {}
+        for total in range(density.n + 1):
+            rows = slice(total * (total + 1) // 2, (total + 1) * (total + 2) // 2)
+            block = kept[rows, rows]
+            if block.any():
+                same[total] = _readonly(np.where(block, e[rows, rows], 0.0))
+            block[...] = False
+        f, g = np.nonzero(kept)
+        n1, n2 = np.array(fock_states(density.n)).T
+        # elements[f, g] multiplies |f><g|: ket labels from f, bra from g
+        cross = zip((n1 + n2)[f].tolist(), (n1 - n2)[f].tolist(), (n1 + n2)[g].tolist(),
+                    (n1 - n2)[g].tolist(), e[f, g].tolist())
+        return cls(density.n, same, tuple(cross))
 
 
 def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
@@ -196,14 +204,9 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
     # Per shell: the block rho_l (row a holds m = a - l), the eigenpairs of
     # J2 = (J+ - J-) / 2i, where J+ = a1^dag a2 raises row a - 1 to row a by
     # sqrt(a (2l + 1 - a)), delta_m(l), and the harmonic a - a' of each entry.
-    blocks: dict[int, np.ndarray] = {}
-    for two_l, two_m, two_mp, v in lm_density.same_shell:
-        if two_l not in blocks:
-            blocks[two_l] = np.zeros((two_l + 1, two_l + 1), dtype=complex)
-        blocks[two_l][(two_l + two_m) // 2, (two_l + two_mp) // 2] = v
     top = lm_density.n
     shells = []
-    for two_l, rho in blocks.items():
+    for two_l, rho in lm_density.same_shell.items():
         a = np.arange(two_l + 1)
         upper = 0.5j * np.sqrt(a[1:] * (two_l + 1 - a[1:]))
         mu, vec = np.linalg.eigh(np.diag(upper, 1) + np.diag(upper.conj(), -1))

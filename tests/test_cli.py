@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -111,6 +114,24 @@ def test_parse_grid_validation():
         parse_grid("plane4d", "q1:0:1:5,q1:0:1:5")
     grid = parse_grid("plane4d", "q1:-1:1:5,p1:-1:1:5", "q2=0.5,p2=-1")
     assert dict(grid.fixed) == {"q2": 0.5, "p2": -1.0}
+
+
+@pytest.mark.parametrize("kind, grid_text, fix", [
+    ("sphere", "theta:0:3.141592653589793:4,phi:0:6.283185307179586:3", None),
+    ("volume", "x1:-2.5:1e-7:3,x2:-1:0.1:2,x3:-1e200:1e200:2", None),
+    ("plane4d", "q1:-3:3:3,p2:-0.3:0.7:2", "q2=0.3386878482379192"),
+], ids=["sphere", "volume", "plane4d"])
+def test_grid_header_rebuilds_the_grid(tmp_path, kind, grid_text, fix):
+    out = str(tmp_path / "out.csv")
+    argv = [kind, "--state", _state_file(tmp_path, UP_ONE_SPIN), "--grid", grid_text, "--out", out]
+    assert main(argv + (["--fix", fix] if fix else [])) == 0
+    header, _, _ = _read_table(out)
+    recorded = [h.split("grid: ", 1)[1] for h in header if "grid: " in h]
+    assert len(recorded) == 1
+    rec_kind, _, rest = recorded[0].partition(" ")
+    axes, _, fixed = rest.partition(" fixed ")
+    assert rec_kind == kind
+    assert parse_grid(kind, axes, fixed or None) == parse_grid(kind, grid_text, fix)
 
 
 def test_volume_command_small_grid(tmp_path, capsys):
@@ -354,6 +375,46 @@ def test_outputs_are_deterministic(tmp_path):
         with open(out, "rb") as fh:
             outs.append(fh.read())
     assert outs[0] == outs[1]
+
+
+_CLI = "import sys; from spinwigner.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _operator_text(n, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    return f"kind operator\nspins {n}\n" + "".join(
+        "row " + " ".join(f"{v.real!r},{v.imag!r}" for v in row.tolist()) + "\n" for row in rows)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each command in a fresh process, as it runs from the shell, since
+    # OpenBLAS reads its thread count when numpy loads
+    jobs = {
+        "volume": (CAT5, ["--grid", "x1:-2:2:7,x2:-2:2:7,x3:-2:2:7"]),
+        "sphere": (SQUEEZED5, ["--grid", "theta:0:3.141592653589793:7,phi:0:6.283185307179586:9",
+                               "--method", "both"]),
+        "plane4d": (_operator_text(3, 11), ["--grid", "q1:-2:2:9,p2:-2:2:9",
+                                            "--fix", "q2=0.3,p1=-0.2"]),
+        "check": (MIXTURE5, []),
+    }
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        for command, (text, extra) in jobs.items():
+            out = tmp_path / f"{command}-{threads}.csv"
+            argv = [command, "--state", _state_file(tmp_path, text, f"{command}.txt"), *extra]
+            if command != "check":
+                argv += ["--out", str(out)]
+            proc = subprocess.run([sys.executable, "-c", _CLI, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            stdout = [line for line in proc.stdout.splitlines()
+                      if not line.startswith("timing_ms=")]
+            runs[command, threads] = stdout, out.read_bytes() if out.exists() else None
+    for command in jobs:
+        assert runs[command, "1"] == runs[command, "2"], command
 
 
 @pytest.mark.parametrize("option", [["--threads", "2"], ["--tolerance", "norm=1e-15"]],

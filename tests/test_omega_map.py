@@ -162,11 +162,29 @@ def test_construct_omega_rejects_corrupted_basis(n, bad_l, corrupt):
         sw.construct_omega(_CorruptedBasis(n, bad_l, corrupt))
 
 
-@pytest.mark.parametrize("n, mixing", [(n, None) for n in range(1, 11)]
-                         + [(3, {1: np.array([[0.0, 1.0], [1.0, 0.0]])})])
-def test_intertwining_residual_matches_dense_reference(n, mixing):
-    om = sw.construct_omega(sw.decompose_angular_basis(n), shell_mixing=mixing)
+def _tower_one_map(n):
+    """OmegaMap that represents tower k = 1 of shell 2l = 1 instead of k = 0."""
+    basis = sw.decompose_angular_basis(n)
+    coeff = np.array(sw.construct_omega(basis).coefficients)
+    coeff[1:3] = basis.towers(1, 2)[1][::-1]  # row 1 + n1 holds m = n1 - 1/2
+    return sw.OmegaMap(n, coeff)
+
+
+@pytest.mark.parametrize("n, tower", [(n, None) for n in range(1, 11)] + [(3, 1)])
+def test_intertwining_residual_matches_dense_reference(n, tower):
+    om = sw.construct_omega(sw.decompose_angular_basis(n)) if tower is None else _tower_one_map(n)
+    assert sw.intertwining_residual(om) <= 1e-10
     assert abs(sw.intertwining_residual(om) - reference_intertwining_residual(om)) <= 1e-14
+
+
+def test_omega_coefficients_are_real_and_read_only():
+    om = omega(3)
+    assert om.coefficients.dtype == np.float64 and not om.coefficients.flags.writeable
+    coeff = np.array(om.coefficients)
+    assert np.array_equal(sw.OmegaMap(3, coeff.astype(complex)).coefficients, coeff)
+    for imag in (1e-300, np.nan):
+        with pytest.raises(sw.ValidationError, match="imaginary"):
+            sw.OmegaMap(3, coeff + 1j * imag)
 
 
 def test_intertwining_residual_checks_totals_of_the_other_parity():
@@ -186,36 +204,6 @@ def test_intertwining_residual_checks_totals_of_the_other_parity():
 def test_jordan_schwinger_matches_dense_bilinears(cutoff, axis):
     expect = reference_jordan_schwinger(cutoff, axis)
     assert np.max(np.abs(dense_jordan_schwinger(cutoff, axis) - expect)) <= 1e-15
-
-
-def test_shell_mixing_selects_other_tower():
-    basis = sw.decompose_angular_basis(3)
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    om = sw.construct_omega(basis, shell_mixing={1: swap})
-    assert sw.intertwining_residual(om) <= 1e-10
-    g = om.coefficients.conj().T @ om.coefficients
-    assert np.max(np.abs(g @ g - g)) <= 1e-12
-    k0, k1 = basis.towers(1, 2)[:, 0]
-    assert np.linalg.norm(om.coefficients @ k1) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(om.coefficients @ k0) <= 1e-12
-
-
-def test_shell_mixing_validation():
-    basis = sw.decompose_angular_basis(3)
-    with pytest.raises(sw.ValidationError):
-        sw.construct_omega(basis, shell_mixing={1: np.array([[1.0, 1.0], [0.0, 1.0]])})
-    # a NaN or inf residual must not compare as within tolerance
-    for bad in (np.nan, np.inf, 1e200):
-        with pytest.raises(sw.ValidationError, match=r"shell_mixing\[1\] is not a unitary"):
-            sw.construct_omega(basis, shell_mixing={1: np.array([[bad, 0.0], [0.0, 1.0]])})
-
-
-def test_shell_mixing_must_match_the_shell():
-    # shell 2l = 1 of three spins has two towers; shell 2l = 5 does not exist
-    basis = sw.decompose_angular_basis(3)
-    for mixing in ({1: np.eye(3)}, {1: np.eye(1)}, {5: np.eye(1)}):
-        with pytest.raises(sw.ValidationError):
-            sw.construct_omega(basis, shell_mixing=mixing)
 
 
 def test_push_one_spin_up():

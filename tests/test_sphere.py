@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,69 @@ def test_ws_analytic_refuses_cross_shell_terms():
     d = sw.push_operator(omega(2), np.outer(mixed, mixed.conj()))
     lm = LmDensity.from_density(d)
     with pytest.raises(sw.ValidationError, match="cross-shell"):
+        sw.ws_analytic(lm, 1.0, 1.0)
+
+
+def _relabel_per_element(density):
+    """Kept elements relabelled one at a time: {(2l, a, a'): value} and the
+    cross-shell tuples in row-major order."""
+    e = density.elements
+    kept = np.abs(e) > 1e-13 * max(1.0, np.abs(e).max())
+    states = sw.fock_states(density.n)
+    same, cross = {}, []
+    for f, g in zip(*np.nonzero(kept)):
+        (a, b), (c, d) = states[f], states[g]
+        if a + b == c + d:
+            same[(a + b, a, c)] = e[f, g]
+        else:
+            cross.append((a + b, a - b, c + d, c - d, complex(e[f, g])))
+    return same, tuple(cross)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: push_pure(5, sw.spin_coherent(5, 1.1, 0.4).amplitudes),
+    lambda: push_pure(6, sw.squeezed_state(6, 0.2 + 0.1j, sw.spin_coherent(6, 0.8, 2.0)).amplitudes),
+    lambda: sw.push_operator(omega(3), np.random.default_rng(5).normal(size=(8, 8))),
+    lambda: sw.OscillatorDensity.from_fock_elements(
+        4, np.random.default_rng(6).normal(size=(15, 15)) * np.logspace(-16, 0, 15)),
+], ids=["coherent-5", "squeezed-6", "operator-3", "raw-fock-4"])
+def test_lm_blocks_are_the_cut_diagonal_fock_blocks(make):
+    d = make()
+    lm = LmDensity.from_density(d)
+    same, cross = _relabel_per_element(d)
+    assert lm.cross_shell == cross
+    for two_l in range(d.n + 1):
+        expect = np.zeros((two_l + 1, two_l + 1), dtype=complex)
+        for (tl, a, ap), v in same.items():
+            if tl == two_l:
+                expect[a, ap] = v
+        if not expect.any():
+            assert two_l not in lm.same_shell
+            continue
+        block = lm.same_shell[two_l]
+        assert block.dtype == complex and not block.flags.writeable
+        assert np.array_equal(block, expect)
+    if cross:
+        with pytest.raises(sw.ValidationError) as err:
+            sw.ws_analytic(lm, 1.0, 1.0)
+        labels = ", ".join(f"|l={tl/2:g},m={tm/2:g}><l={bl/2:g},m={bm/2:g}|"
+                           for tl, tm, bl, bm, _ in cross[:8])
+        more = f", and {len(cross) - 8} more" if len(cross) > 8 else ""
+        assert str(err.value) == (f"no closed spherical form for cross-shell coherences: "
+                                  f"{labels}{more}; use the numeric route for these terms")
+
+
+def test_lm_cross_shell_entries_by_hand():
+    # |0,0> <-> |1,1> couples shell 0 with shell 2; the 1e-15 entry is below the cut
+    e = np.zeros((6, 6), dtype=complex)
+    e[0, 4], e[4, 0], e[3, 5] = 0.5j, -0.5j, 1e-15
+    e[3, 3] = e[5, 5] = 1.0
+    lm = LmDensity.from_density(sw.OscillatorDensity.from_fock_elements(2, e))
+    assert lm.cross_shell == ((0, 0, 2, 0, 0.5j), (2, 0, 0, 0, -0.5j))
+    assert list(lm.same_shell) == [2]
+    assert np.array_equal(lm.same_shell[2], np.diag([1.0, 0.0, 1.0]))
+    with pytest.raises(sw.ValidationError, match=re.escape(
+            "cross-shell coherences: |l=0,m=0><l=1,m=0|, |l=1,m=0><l=0,m=0|; use the numeric")):
         sw.ws_analytic(lm, 1.0, 1.0)
 
 
@@ -312,7 +376,10 @@ def _ws_analytic_per_term(lm, theta, phi):
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     phi = phi % (2.0 * math.pi)
     total = 0.0 + 0.0j
-    for two_l, two_m, two_mp, v in lm.same_shell:
+    terms = [(two_l, 2 * a - two_l, 2 * ap - two_l, v)  # row a of block 2l holds m = a - l
+             for two_l, block in lm.same_shell.items()
+             for (a, ap), v in np.ndenumerate(block) if v]
+    for two_l, two_m, two_mp, v in terms:
         sign = -1.0 if two_l % 2 else 1.0
         lpm, lmm = (two_l + two_m) // 2, (two_l - two_m) // 2
         lpmp, lmmp = (two_l + two_mp) // 2, (two_l - two_mp) // 2
