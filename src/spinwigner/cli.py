@@ -24,7 +24,9 @@ x1,x2,x3 (volume), theta,phi (sphere) or two of q1,p1,q2,p2 (plane4d).
 Output files are comma separated with a ``#`` commented header recording
 the state, grid and library version; they contain no timing information,
 are byte-identical across repeated runs, and are written only once the
-evaluation and the normalization have succeeded.
+evaluation and the normalization have succeeded. Every number is exactly
+``"%.12e" % v``, formatted in numpy; Python's ``%`` formats only the few
+values whose rounding lies too close to a tie for the numpy arithmetic.
 
 Every number read from a state file, ``--grid``, ``--fix``, ``--tolerance``
 or ``--samples`` must be finite; integer fields (``spins``, ``excitations``,
@@ -338,35 +340,94 @@ def _chunked(fn, total: int) -> np.ndarray:
                            for i in range(0, total, _CHUNK)])
 
 
+# Powers of ten 10^-340..10^340 in longdouble, and the margin that makes a
+# rounding decision in that arithmetic safe: the scaled mantissa carries at
+# most about two eps of relative error (one from the table entry, one from
+# the product), so a fraction more than 64 eps * 10^13 away from one half
+# rounds as the exact value would. Where longdouble is plain double the
+# margin is wider, the table overflows past 10^308, and more values take the
+# exact fallback.
+with np.errstate(over="ignore"):
+    _POW10 = np.power(np.longdouble(10), np.arange(-340, 341))
+_ROUND_MARGIN = 64 * np.finfo(np.longdouble).eps * 1e13
+# "0000".."9999", four ASCII digits in each uint32
+_DIGIT_QUADS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
+                + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_FIELD = 21  # "-d.dddddddddddde-ddd" and a separator
+
+
+def _format_fields(v: np.ndarray) -> np.ndarray:
+    """Each finite float64 as the bytes of ``"%.12e," % v``, one row each.
+
+    Rows are ``_FIELD`` bytes: sign, digit, ``.``, 12 digits, ``e``,
+    exponent sign, hundreds digit, two exponent digits, ``,``. A sign or
+    hundreds digit that is absent is a NUL byte, which the caller strips.
+    The 13 significant digits come from rounding y = |v| * 10^(12 - E),
+    E = floor(log10 |v|), in longdouble. A value whose y falls outside
+    [10^12, 10^13) or is not finite, or whose fraction lies within
+    ``_ROUND_MARGIN`` of one half, is formatted by Python's ``%`` instead,
+    which rounds the exact binary value.
+    """
+    zero = v == 0.0
+    a = np.where(zero, 1.0, np.abs(v))  # zeros are formatted as 1.0, then cleared
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _POW10[340 + 12 - e]
+    fast = (y >= 1e12) & (y < 1e13)  # False where y is not finite or log10 was one off
+    y[~fast] = 1e12
+    r = y.astype(np.int64)  # y is positive, so the cast is floor
+    frac = (y - r).astype(np.float64)
+    fast &= np.abs(frac - 0.5) > _ROUND_MARGIN
+    r += frac > 0.5
+    for i in np.flatnonzero(~fast):
+        text = "%.12e" % float(a[i])
+        r[i], e[i] = int(text[0] + text[2:14]), int(text[15:])
+    carry = r == 10**13
+    r[carry] = 10**12
+    e[carry] += 1
+    r[zero] = 0
+    e[zero] = 0
+    out = np.zeros((v.size, _FIELD), dtype=np.uint8)
+    out[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    lead, rest = np.divmod(r, 10**12)
+    high, rest = np.divmod(rest, 10**8)
+    mid, low = np.divmod(rest, 10**4)
+    out[:, 1] = lead + ord("0")
+    out[:, 2] = ord(".")
+    out[:, 3:15] = _DIGIT_QUADS[np.stack([high, mid, low], axis=1)].view(np.uint8)
+    out[:, 15] = ord("e")
+    out[:, 16] = np.where(e < 0, ord("-"), ord("+"))
+    exponent = np.abs(e)
+    out[:, 17:20] = _DIGIT_QUADS[exponent[:, None]].view(np.uint8)[:, 1:]
+    out[exponent < 100, 17] = 0
+    out[:, 20] = ord(",")
+    return out
+
+
 def _write_grid(path: str, header: list[str], grid: GridSpec, names: list[str],
                 values: list[np.ndarray]) -> None:
     """Write one row per grid point, axes in "ij" order, then the values.
 
-    Numbers read as ``f"{v:.12e}"``. Axis points are formatted once; each
-    chunk of rows is one ``%`` on a flat list of labels and values, so no
-    string or object array spans the whole grid.
+    Numbers read exactly as ``f"{v:.12e}"``; ``_format_fields`` builds their
+    bytes in numpy. Axis points are formatted once and gathered per row;
+    values are formatted one chunk of ``_CHUNK`` rows at a time, so no buffer
+    spans the whole grid.
     """
     points = [a.points() for a in grid.axes]
     if not (np.isfinite(values).all() and all(np.isfinite(p).all() for p in points)):
         raise NumericError("refusing to write a non-finite value")
-    labels = [np.array([f"{v:.12e}" for v in p], dtype=object) for p in points]
+    labels = [_format_fields(p) for p in points]
     sizes = [p.size for p in points]
-    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
-    width = len(labels) + len(values)
-    row = ",".join(["%s"] * len(labels) + ["%.12e"] * len(values)) + "\n"
     total = math.prod(sizes)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write(",".join([a.name for a in grid.axes] + names) + "\n")
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in header).encode())
+        fh.write((",".join([a.name for a in grid.axes] + names) + "\n").encode())
         for start in range(0, total, _CHUNK):
-            index = np.arange(start, min(start + _CHUNK, total))
-            flat = [None] * (index.size * width)
-            for k, (lab, stride, size) in enumerate(zip(labels, strides, sizes)):
-                flat[k::width] = lab[index // stride % size].tolist()
-            for k, col in enumerate(values, start=len(labels)):
-                flat[k::width] = col[start:start + index.size].tolist()
-            fh.write(row * index.size % tuple(flat))
+            stop = min(start + _CHUNK, total)
+            index = np.unravel_index(np.arange(start, stop), sizes)
+            rows = np.concatenate([lab.take(i, axis=0) for lab, i in zip(labels, index)]
+                                  + [_format_fields(col[start:stop]) for col in values], axis=1)
+            rows[:, -1] = ord("\n")
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _maybe_normalization(density: OscillatorDensity, notes: list[str]) -> float:

@@ -63,7 +63,7 @@ class OmegaMap:
         c = np.asarray(self.coefficients)
         if np.iscomplexobj(c) and np.any(c.imag):
             raise ValidationError("coefficients have a non-zero imaginary part; the map is real")
-        c = np.ascontiguousarray(c.real, dtype=float)
+        c = np.array(c.real, dtype=float, order="C")  # a copy: the caller's array stays writable
         expect = (len(fock_states(self.n)), 2**self.n)
         if c.shape != expect:
             raise ValidationError(f"coefficient shape {c.shape}, expected {expect}")
@@ -86,7 +86,7 @@ class OscillatorDensity:
     s2_residual: float
 
     def __post_init__(self):
-        e = np.asarray(self.elements, dtype=complex)
+        e = np.array(self.elements, dtype=complex)  # a copy: the caller's array stays writable
         size = len(fock_states(self.n))
         if e.shape != (size, size):
             raise ValidationError(f"element matrix shape {e.shape}, expected ({size}, {size})")

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -89,31 +88,19 @@ def ws_numeric_many(density: OscillatorDensity, theta, phi, *,
     return (math.pi / 4.0) * np.sum(vals * radial, axis=-1)
 
 
-def _gauss_series_exact(neg_int_a: int, b: Fraction, c: Fraction, x: Fraction) -> Fraction:
-    """Terminating Gauss series summed with a running term ratio.
-
-    Every quantity is an exact rational, so alternating-term cancellation
-    near |x| -> 1 costs no precision; the caller rounds once at the end.
-    The only caller passes c >= 1, so no denominator c + t vanishes.
-    """
-    terms = -neg_int_a
-    total = Fraction(1)
-    term = Fraction(1)
-    for t in range(terms):
-        term *= Fraction(neg_int_a + t) * (b + t) / ((c + t) * (t + 1)) * x
-        total += term
-    return total
-
-
 def radial_integral_I(i: int, j: int, alpha: int, c: float) -> float:
     """Closed form of the exponential-weighted cross-Laguerre radial integral.
 
     Evaluated from the terminating-series form that stays finite on the
     whole interval c in [-1, 1], including c = 0; the c^(-1) term that
     formally appears at i = j carries a zero coefficient and is dropped.
-    All factors are exact rationals, rounded once on return, which keeps
-    the large near-cancelling sums at |c| close to 1 at full precision.
+    The Gauss series 2F1(-i, 1 + j + alpha; 1 + d; c^2) is summed with a
+    running term ratio. All factors are exact rationals, rounded once on
+    return, so the alternating, near-cancelling sums at |c| close to 1 cost
+    no precision.
     """
+    from fractions import Fraction  # only this function needs it; a CLI start does not
+
     if i < 0 or j < 0 or alpha < 0:
         raise ValidationError("indices must be >= 0")
     if i > j:
@@ -122,7 +109,11 @@ def radial_integral_I(i: int, j: int, alpha: int, c: float) -> float:
     cf = Fraction(c)
     d = j - i
     pref = Fraction(math.factorial(j + alpha), math.factorial(i) * math.factorial(d))
-    series = _gauss_series_exact(-i, Fraction(1 + j + alpha), Fraction(1 + d), cf * cf)
+    x = cf * cf
+    series = term = Fraction(1)
+    for t in range(i):  # the denominator (1 + d + t) (t + 1) never vanishes
+        term *= Fraction(t - i) * (1 + j + alpha + t) / ((1 + d + t) * (t + 1)) * x
+        series += term
     bracket = Fraction(i + j + alpha + 1) * cf**d
     if d > 0:
         bracket += d * cf ** (d - 1)

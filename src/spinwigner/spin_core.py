@@ -59,7 +59,7 @@ class SpinState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)  # a copy: the caller's array stays writable
         if amps.shape != (2**self.n,):
             raise ValidationError(
                 f"amplitude vector has shape {amps.shape}, expected ({2**self.n},)"
@@ -90,8 +90,8 @@ class SpinMixture:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        w = np.array(self.weights, dtype=float)  # copies: the caller's arrays stay writable
+        amps = np.array(self.amplitudes, dtype=complex)
         if w.ndim != 1 or w.size == 0:
             raise ValidationError("mixture needs at least one component")
         if amps.shape != (2**self.n, w.size):
@@ -115,6 +115,8 @@ class SpinMixture:
         return float(np.sum(self.weights * np.sum(np.abs(self.amplitudes) ** 2, axis=0)))
 
     def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a SpinMixture has no dense matrix to share; it is built anew")
         rho = np.zeros((2**self.n, 2**self.n), dtype=complex)
         for w, psi in zip(self.weights, self.amplitudes.T):
             rho += w * np.outer(psi, psi.conj())

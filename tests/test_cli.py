@@ -5,6 +5,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -417,6 +418,18 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert runs[command, "1"] == runs[command, "2"], command
 
 
+def test_cli_import_leaves_out_fractions():
+    # exact rationals serve only radial_integral_I, which no command calls
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, numpy; before = set(sys.modules); import spinwigner.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "spinwigner.cli" in added and "fractions" not in added
+
+
 @pytest.mark.parametrize("option", [["--threads", "2"], ["--tolerance", "norm=1e-15"]],
                          ids=["threads", "tolerance"])
 def test_removed_grid_options_are_usage_errors(tmp_path, option):
@@ -565,8 +578,18 @@ def test_grid_writer_matches_reference_formatting(tmp_path, monkeypatch, kind, g
     rng = np.random.default_rng(len(mesh[0]))
     values = [rng.normal(size=mesh[0].size) * 10.0 ** rng.integers(-320, 300, size=mesh[0].size)
               for _ in range(2)]
+    # The first chunk mixes signs and 2- and 3-digit exponents. Then the
+    # values where a numpy formatter can go wrong: exact binary ties (half to
+    # even), mantissas that round up into the next exponent, and powers of
+    # ten, each with its neighbours one ulp away.
     values[0][:8] = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, -1 / 3]
     values[1][-1] = -0.0
+    edges = np.array([1234567890123.5, 1234567890122.5, 9.9999999999995e-3, 9.9999999999995e+5,
+                      9.9999999999995e-311]
+                     + [10.0**k for k in (-311, -308, -100, -99, -5, 0, 1, 22, 23, 99, 100, 308)])
+    edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    edges = np.concatenate([edges, -edges])
+    values[1][:edges.size] = edges[:values[1].size]
     out = tmp_path / "grid.csv"
     cli._write_grid(str(out), ["head one", "head two"], grid, ["u", "v"], values)
 
@@ -574,6 +597,32 @@ def test_grid_writer_matches_reference_formatting(tmp_path, monkeypatch, kind, g
     expect = "# head one\n# head two\n" + ",".join(names) + "\n" + "".join(
         ",".join(f"{v:.12e}" for v in row) + "\n" for row in zip(*mesh, *values))
     assert out.read_bytes() == expect.encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_numpy_fields_match_python_formatting(xs):
+    from spinwigner.cli import _format_fields
+
+    fields = _format_fields(np.array(xs, dtype=float))
+    assert fields.tobytes().translate(None, b"\0") == "".join(f"{x:.12e}," for x in xs).encode()
+
+
+@pytest.mark.parametrize("where", ["nan-value", "inf-value", "inf-axis"])
+def test_grid_writer_refuses_non_finite_numbers(tmp_path, where):
+    import spinwigner.cli as cli
+
+    grid = parse_grid("volume", "x1:-1:1:2,x2:-1:1:2,x3:-1:1:3")
+    values = [np.zeros(12), np.ones(12)]
+    if where == "inf-axis":
+        axis = SimpleNamespace(name="x3", points=lambda: np.array([0.0, 1.0, math.inf]))
+        grid = cli.GridSpec("volume", grid.axes[:2] + (axis,))
+    else:
+        values[1][7] = math.nan if where == "nan-value" else -math.inf
+    out = tmp_path / "grid.csv"
+    with pytest.raises(sw.NumericError, match="non-finite"):
+        cli._write_grid(str(out), ["head"], grid, ["u", "v"], values)
+    assert not out.exists()
 
 
 def test_sphere_normalization_failure_writes_no_file(tmp_path, monkeypatch, capsys):

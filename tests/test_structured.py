@@ -79,6 +79,33 @@ def test_spin_mixture_validation():
         sw.push_density(omega(3), sw.mixture([(1.0, psi)]))  # map acts on 3 spins
 
 
+def test_constructors_copy_the_callers_arrays():
+    coeff = np.array(omega(1).coefficients)
+    elements = np.eye(3, dtype=complex)
+    amps = sw.cat_state(1).amplitudes.copy()
+    weights, columns = np.array([0.25, 0.75]), np.eye(2, dtype=complex)
+    mix = sw.SpinMixture(1, weights, columns)
+    for obj, name, given in [(sw.OmegaMap(1, coeff), "coefficients", coeff),
+                             (sw.OscillatorDensity.from_fock_elements(1, elements), "elements",
+                              elements),
+                             (sw.SpinState(1, amps), "amplitudes", amps),
+                             (mix, "weights", weights), (mix, "amplitudes", columns)]:
+        held = getattr(obj, name)
+        kept = held.copy()
+        assert given.flags.writeable and not held.flags.writeable
+        given[...] = 0.0  # editing the caller's array leaves the object as it was
+        assert np.array_equal(held, kept)
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="np.asarray takes copy= from NumPy 2")
+def test_mixture_refuses_asarray_without_copy():
+    mix = sw.mixture([(0.5, sw.cat_state(2)), (0.5, sw.SpinState(2, np.eye(4)[0]))])
+    with pytest.raises(ValueError, match="SpinMixture"):
+        np.asarray(mix, copy=False)
+    assert np.array_equal(np.asarray(mix), np.array(mix, copy=True))
+
+
 
 def test_validators_refuse_non_finite_values():
     # every check compares "not within tolerance", so NaN cannot slip through
