@@ -1,16 +1,17 @@
 """Continuous Wigner-like quasi-probability functions for spin ensembles.
 
-The pipeline: build the labelled (k, l, m) eigenbasis with collective spin
-operators applied by bit flips (``spin_core``), embed the spin space into a
-truncated two-mode Fock space (``omega_map``), evaluate the four-dimensional
-Wigner function through oscillator Moyal functions (``moyal``), reduce it to
-three variables through the Hopf contraction (``reduced_space``), and
-integrate radially onto the sphere (``sphere``). ``states`` builds the
+The pipeline: build the represented tower of each angular-momentum shell
+with collective spin operators applied by bit flips (``spin_core``), embed
+the spin space into a truncated two-mode Fock space (``omega_map``),
+evaluate the four-dimensional Wigner function through oscillator Moyal
+functions (``moyal``), reduce it to three variables through the Hopf
+contraction (``reduced_space``), and integrate radially onto the sphere
+(``sphere``). ``states`` builds the
 standard state families and ``cli`` exposes grid evaluation as a command
 line tool.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (
@@ -18,7 +19,6 @@ from .spin_core import (
     SpinMixture,
     SpinState,
     decompose_angular_basis,
-    shell_multiplicity,
 )
 from .omega_map import (
     OmegaMap,
@@ -84,7 +84,6 @@ __all__ = [
     "realize_operator",
     "realize_state",
     "reduced_wigner_many",
-    "shell_multiplicity",
     "sphere_normalization",
     "spin_coherent",
     "squeezed_state",

@@ -114,17 +114,17 @@ class OscillatorDensity:
 
 
 def construct_omega(basis: AngularBasis) -> OmegaMap:
-    """Build the canonical embedding from a labelled eigenbasis.
+    """Build the canonical embedding from the represented towers.
 
-    The first degeneracy tower (k = 0) of each shell is the one represented,
-    and only that tower is built. The intertwining property is verified
-    before returning.
+    Tower k = 0 of each shell, ``basis.towers[2l]``, fills the Fock rows of
+    total 2l; a missing shell is a ``KeyError``. The intertwining property
+    is verified before returning.
     """
     n = basis.n
     coeff = np.zeros((len(fock_states(n)), 2**n))
     for two_l in range(n, (n % 2) - 1, -2):
         lo = two_l * (two_l + 1) // 2
-        coeff[lo:lo + two_l + 1] = basis.towers(two_l, 1)[0][::-1]  # row lo + n1 holds m = n1 - l
+        coeff[lo:lo + two_l + 1] = basis.towers[two_l][::-1]  # row lo + n1 holds m = n1 - l
 
     omega = OmegaMap(n, coeff)
     residual = intertwining_residual(omega)

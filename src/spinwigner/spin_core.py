@@ -1,5 +1,6 @@
-"""Collective spin algebra by bit flips and the labelled (S^2, S_3)
-eigenbasis, which is read one shell at a time through ``AngularBasis.towers``.
+"""Collective spin algebra by bit flips and the represented part of the
+labelled (S^2, S_3) eigenbasis: tower k = 0 of each shell, in
+``AngularBasis.towers``.
 
 Conventions used throughout the package:
 
@@ -8,8 +9,8 @@ Conventions used throughout the package:
   so for two spins index 3 = 0b11 is |up,up> and index 0 is |down,down>.
 * "Lexicographic order" of basis states means the order of their arrow
   strings with "up" sorting before "down". Numerically that is descending
-  integer index: |up..up> first, |down..down> last. Canonical phases and
-  the Gram-Schmidt sweep below both use this order.
+  integer index: |up..up> first, |down..down> last. Each tower's top is
+  projected from the first basis state of its S_3 sector in this order.
 * Half-integer quantum numbers are stored doubled (``two_l = 2l``,
   ``two_m = 2m``) so labels compare exactly.
 
@@ -20,13 +21,14 @@ a built tower cannot be changed after it was checked or shared.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CapacityError, NumericError, ValidationError
+from .errors import CapacityError, ValidationError
 
 #: Largest spin count accepted. States, the embedding's towers and the push
 #: are handled by O(n 2^n) bit flips; what stays dense (4^n memory, 268 MB
@@ -35,7 +37,6 @@ DEFAULT_MAX_SPINS = 12
 
 _NORM_TOL = 1e-9
 _WEIGHT_TOL = 1e-12
-_GS_TOL = 1e-7
 
 
 def _check_capacity(n: int) -> None:
@@ -125,27 +126,12 @@ class SpinMixture:
 
 @dataclass(frozen=True)
 class AngularBasis:
-    """Orthonormal simultaneous eigenbasis of (S^2, S_3), labelled (k, l, m):
-    vector (k, l, m) is row l - m of tower k of shell 2l, built on demand."""
+    """The represented part of the (S^2, S_3) eigenbasis of n spins: tower
+    k = 0 of every shell. ``towers[2l]`` is a read-only real (2l + 1, 2^n)
+    array whose row s is the vector (0, l, l - s)."""
 
     n: int
-
-    def towers(self, two_l: int, count: int) -> np.ndarray:
-        """The first ``count`` towers of shell ``two_l``, shape
-        (count, two_l + 1, 2^n); row s of a tower has m = l - s."""
-        mult = shell_multiplicity(self.n, two_l)
-        if not 1 <= count <= mult:
-            raise ValidationError(
-                f"shell 2l = {two_l} of {self.n} spins has {mult} towers, {count} requested")
-        return _shell_towers(self.n, two_l, count)
-
-
-def shell_multiplicity(n: int, two_l: int) -> int:
-    """Multiplicity of the spin-l irrep in n spin halves (Catalan triangle)."""
-    d = (n - two_l) // 2
-    if two_l < 0 or two_l > n or (n - two_l) % 2 != 0:
-        return 0
-    return comb(n, d) - (comb(n, d - 1) if d >= 1 else 0)
+    towers: Mapping[int, np.ndarray]
 
 
 def _apply_ladder(x: np.ndarray, raising: bool) -> np.ndarray:
@@ -178,53 +164,40 @@ def _s3_diagonal(n: int) -> np.ndarray:
     return _readonly(counts - n / 2.0)
 
 
-def _shell_towers(n: int, two_l: int, count: int) -> np.ndarray:
-    """Read-only real (count, two_l + 1, 2^n) array of a shell's first towers.
+def _first_tower(n: int, two_l: int) -> np.ndarray:
+    """Read-only real (two_l + 1, 2^n) array: tower k = 0 of shell ``two_l``.
 
-    In the S_3 = l sector only shells l' >= l occur, so the highest weights
-    span the image of P_l = prod_{l' > l} (S^2 - l'(l'+1)) / (l(l+1) - l'(l'+1)).
-    Gram-Schmidt over P_l e_j, one sector index j at a time in lexicographic
-    order, makes them depend only on the subspace and not on ``count``; each
-    gets its lex-first non-negligible amplitude positive, and S_- then fills
-    each tower downward (row s has m = l - s).
+    In the S_3 = l sector only shells l' >= l occur, so
+    P_l = prod_{l' > l} (S^2 - l'(l'+1)) / (l(l+1) - l'(l'+1)) projects it
+    onto the shell's highest weights. The top of the tower is P_l e_j for
+    the sector's lexicographically first index j (ups on the leading sites),
+    normalized. It needs no sign fix: <e_j|P_l e_j> = |P_l e_j|^2 > 0 and no
+    sector index precedes j. S_- then fills the tower downward (row s has
+    m = l - s).
     """
-    dim = 2**n
+    ups = (n + two_l) // 2
     casimir = [t * (t + 2) / 4.0 for t in range(two_l, n + 1, 2)]
-    sector = np.flatnonzero(_s3_diagonal(n) == two_l / 2.0)[::-1]  # lex order
-    top = np.zeros((count, dim))
-    found = 0
-    for j in sector:
-        w = np.zeros(dim)
-        w[j] = 1.0
-        for c in casimir[1:]:
-            w = (_apply_s2(w) - c * w) / (casimir[0] - c)
-        for _ in range(2):  # re-orthogonalize once for stability
-            w -= top[:found].T @ (top[:found] @ w)
-        nrm = np.linalg.norm(w)
-        if nrm > _GS_TOL:
-            top[found] = w / nrm
-            found += 1
-            if found == count:
-                break
-    if found != count:
-        raise NumericError(f"Gram-Schmidt recovered {found} of {count} highest weights")
-
-    lead = dim - 1 - np.argmax(np.abs(top[:, ::-1]) > 1e-12, axis=1)
-    top *= np.sign(top[np.arange(count), lead])[:, None]
-    towers = np.empty((count, two_l + 1, dim))
-    towers[:, 0] = top
+    w = np.zeros(2**n)
+    w[(2**ups - 1) << (n - ups)] = 1.0
+    for c in casimir[1:]:
+        w = (_apply_s2(w) - c * w) / (casimir[0] - c)
+    tower = np.empty((two_l + 1, 2**n))
+    tower[0] = w / np.linalg.norm(w)
     for step in range(1, two_l + 1):
-        # contiguous rows: each norm is reduced the same way whatever ``count`` is
-        w = np.ascontiguousarray(_apply_ladder(towers[:, step - 1].T, False).T)
-        towers[:, step] = w / np.linalg.norm(w, axis=1, keepdims=True)
-    return _readonly(towers)
+        # an axis norm of a (1, 2^n) row, as the map has always been built;
+        # a 1-D norm reduces in another order
+        w = _apply_ladder(tower[step - 1], False)[None]
+        tower[step] = w / np.linalg.norm(w, axis=1)
+    return _readonly(tower)
 
 
 def decompose_angular_basis(n: int) -> AngularBasis:
-    """The (k, l, m) eigenbasis of n spins after a capacity check.
+    """The represented towers of n spins after a capacity check: tower k = 0
+    of each shell 2l = n, n - 2, ..., built once here.
 
-    No tower is built here: ``AngularBasis.towers`` builds the ones a caller
-    asks for. Repeated builds return bit-identical vectors.
+    The other towers of a degenerate shell are never built; the embedding
+    annihilates them. Repeated builds return bit-identical vectors.
     """
     _check_capacity(n)
-    return AngularBasis(n)
+    shells = range(n, n % 2 - 1, -2)
+    return AngularBasis(n, MappingProxyType({two_l: _first_tower(n, two_l) for two_l in shells}))

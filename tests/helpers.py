@@ -1,6 +1,7 @@
 """Shared fixtures-by-function for the test suite."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,63 @@ def dense_spin(n: int, axis: int) -> np.ndarray:
 def dense_spin_squared(n: int) -> np.ndarray:
     """Total spin squared as the pipeline applies it, acting on the identity."""
     return _apply_s2(np.eye(2**n, dtype=complex))
+
+
+@lru_cache(maxsize=None)
+def _dense_s2_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
+    s2 = dense_spin_squared(n)
+    assert not s2.imag.any()
+    evals, evecs = np.linalg.eigh(s2.real)
+    evals.setflags(write=False)
+    evecs.setflags(write=False)
+    return evals, evecs
+
+
+@lru_cache(maxsize=None)
+def dense_highest_weights(n: int, two_l: int) -> np.ndarray:
+    """Highest weights of shell two_l from the dense spectral projector of S^2.
+
+    The projector's block on the S_3 = l sector is orthonormalized column by
+    column in lexicographic order (descending index), and each vector's first
+    non-negligible amplitude in that order is made positive. Returned as
+    read-only rows in full 2^n coordinates, one per tower k.
+    """
+    evals, evecs = _dense_s2_eigh(n)
+    l = two_l / 2.0
+    keep = np.abs(evals - l * (l + 1.0)) < 0.25
+    proj = evecs[:, keep] @ evecs[:, keep].T
+    popcount = np.array([bin(i).count("1") for i in range(2**n)])
+    ups = (n + two_l) // 2
+    sector = np.flatnonzero(popcount == ups)[::-1]
+    block = proj[np.ix_(sector, sector)]
+    vectors = []
+    for col in block.T:
+        w = col.copy()
+        for _ in range(2):
+            for q in vectors:
+                w -= (q @ w) * q
+        if np.linalg.norm(w) > 1e-7:
+            vectors.append(w / np.linalg.norm(w))
+    # the Catalan triangle: sector l holds one highest weight per tower of shell l
+    assert len(vectors) == math.comb(n, ups) - math.comb(n, ups + 1)
+    out = np.zeros((len(vectors), 2**n))
+    for k, q in enumerate(vectors):
+        lead = q[np.flatnonzero(np.abs(q) > 1e-12)[0]]
+        out[k, sector] = q * np.sign(lead)
+    out.setflags(write=False)
+    return out
+
+
+def dense_tower(n: int, two_l: int, k: int) -> np.ndarray:
+    """Tower k of shell two_l as a real (two_l + 1, 2^n) array: highest weight
+    k of ``dense_highest_weights`` filled downward with the dense S_-, each
+    row normalized; row s has m = l - s."""
+    sm = dense_ladder(n, False).real
+    rows = [dense_highest_weights(n, two_l)[k]]
+    for _ in range(two_l):
+        w = sm @ rows[-1]
+        rows.append(w / np.linalg.norm(w))
+    return np.array(rows)
 
 
 def dense_jordan_schwinger(cutoff: int, axis: int) -> np.ndarray:

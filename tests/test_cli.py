@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import spinwigner as sw
 from spinwigner.cli import main, parse_grid, parse_state_text
 
-from helpers import dense_spin_squared
+from helpers import dense_spin_squared, dense_tower
 
 
 ROOT2 = math.sqrt(2.0)
@@ -264,7 +264,7 @@ def test_check_command_cat_passes(tmp_path, capsys):
 
 def _discarded_tower_state():
     """A raw state in a degeneracy tower the embedding drops (k = 1)."""
-    lost = sw.decompose_angular_basis(3).towers(1, 2)[1, 0]
+    lost = dense_tower(3, 1, 1)[0]
     lines = ["kind raw", "spins 3"]
     for a in lost:
         lines.append(f"amp {float(a.real)!r} {float(a.imag)!r}")

@@ -1,6 +1,3 @@
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 import pytest
 
@@ -8,7 +5,7 @@ import spinwigner as sw
 from spinwigner.omega_map import OscillatorDensity
 
 from helpers import (basis_vector, dense_jordan_schwinger, dense_jordan_schwinger_squared,
-                     fock_index, omega, push_pure, reference_intertwining_residual,
+                     dense_tower, fock_index, omega, push_pure, reference_intertwining_residual,
                      reference_jordan_schwinger, singlet_vector)
 
 
@@ -114,40 +111,33 @@ def test_omega_norm_preserving_on_outer_shell():
     for n in (2, 3, 4):
         basis = sw.decompose_angular_basis(n)
         om = omega(n)
-        for v in basis.towers(n, 1)[0]:
+        for v in basis.towers[n]:
             img = om.coefficients @ v
             assert abs(np.linalg.norm(img) - 1.0) <= 1e-10
 
 
-@dataclass(frozen=True)
-class _CorruptedBasis(sw.AngularBasis):
-    """Applies ``corrupt`` to a copy of the towers of shell ``bad_l``."""
-
-    bad_l: int
-    corrupt: Callable[[np.ndarray], None]
-
-    def towers(self, two_l, count):
-        towers = super().towers(two_l, count)
-        if two_l == self.bad_l:
-            towers = towers.copy()
-            self.corrupt(towers)
-        return towers
+def _corrupted_basis(n, bad_l, corrupt):
+    """The basis of n spins with ``corrupt`` applied to a copy of the tower of shell ``bad_l``."""
+    towers = dict(sw.decompose_angular_basis(n).towers)
+    towers[bad_l] = towers[bad_l].copy()
+    corrupt(towers[bad_l])
+    return sw.AngularBasis(n, towers)
 
 
 def _negate_row_1(t):
-    t[:, 1] *= -1.0
+    t[1] *= -1.0
 
 
 def _scale_row_2(t):
-    t[:, 2] *= 1.001
+    t[2] *= 1.001
 
 
 def _swap_rows_0_1(t):
-    t[:, [0, 1]] = t[:, [1, 0]]
+    t[[0, 1]] = t[[1, 0]]
 
 
 def _nan_entry(t):
-    t[0, 1, np.flatnonzero(t[0, 1])[0]] = np.nan
+    t[1, np.flatnonzero(t[1])[0]] = np.nan
 
 
 @pytest.mark.parametrize("n, bad_l, corrupt", [
@@ -159,14 +149,13 @@ def _nan_entry(t):
 ], ids=["negated-m0-row", "scaled-row", "swapped-outer-rows", "swapped-inner-rows", "nan-entry"])
 def test_construct_omega_rejects_corrupted_basis(n, bad_l, corrupt):
     with pytest.raises(sw.NumericError):
-        sw.construct_omega(_CorruptedBasis(n, bad_l, corrupt))
+        sw.construct_omega(_corrupted_basis(n, bad_l, corrupt))
 
 
 def _tower_one_map(n):
     """OmegaMap that represents tower k = 1 of shell 2l = 1 instead of k = 0."""
-    basis = sw.decompose_angular_basis(n)
-    coeff = np.array(sw.construct_omega(basis).coefficients)
-    coeff[1:3] = basis.towers(1, 2)[1][::-1]  # row 1 + n1 holds m = n1 - 1/2
+    coeff = np.array(sw.construct_omega(sw.decompose_angular_basis(n)).coefficients)
+    coeff[1:3] = dense_tower(n, 1, 1)[::-1]  # row 1 + n1 holds m = n1 - 1/2
     return sw.OmegaMap(n, coeff)
 
 
@@ -224,8 +213,7 @@ def test_push_singlet_projector():
 
 
 def test_push_discarded_tower_gives_zero():
-    basis = sw.decompose_angular_basis(3)
-    d = push_pure(3, basis.towers(1, 2)[1, 0])
+    d = push_pure(3, dense_tower(3, 1, 1)[0])
     assert np.max(np.abs(d.elements)) <= 1e-13
     assert abs(d.represented_trace) <= 1e-12
 

@@ -244,12 +244,12 @@ def test_sphere_normalization_simple_states():
 def test_sphere_normalization_random_represented_states(n):
     # random pure states within single shells (where the spherical function
     # is defined) and a random mixture across shells
-    basis = sw.decompose_angular_basis(n)
+    towers = sw.decompose_angular_basis(n).towers
     om = omega(n)
     rng = np.random.default_rng(30 + n)
     shell_states = []
     for two_l in (n, n - 2):
-        tower = basis.towers(two_l, 1)[0]
+        tower = towers[two_l]
         coeff = rng.normal(size=len(tower)) + 1j * rng.normal(size=len(tower))
         coeff /= np.linalg.norm(coeff)
         shell_states.append(sum(c * v for c, v in zip(coeff, tower)))

@@ -4,7 +4,8 @@ import pytest
 import spinwigner as sw
 from spinwigner.errors import CapacityError
 
-from helpers import basis_vector, dense_ladder, dense_spin, dense_spin_squared
+from helpers import (basis_vector, dense_highest_weights, dense_ladder, dense_spin,
+                     dense_spin_squared, dense_tower)
 
 
 def test_single_spin_s3_is_half_pauli():
@@ -99,7 +100,7 @@ def test_public_names_resolve_once():
     removed = ("BasisEntry", "PhasePoint3", "PhasePoint4", "wigner_4d", "wigner_4d_complex",
                "reduced_wigner", "ws_numeric", "hopf_forward", "hopf_section", "SphPoint",
                "SpinOperator", "build_collective_spin", "total_spin_squared", "ladder",
-               "jordan_schwinger", "jordan_schwinger_squared")
+               "jordan_schwinger", "jordan_schwinger_squared", "shell_multiplicity")
     for name in removed:
         assert name not in sw.__all__ and not hasattr(sw, name), name
     for name in ("gram", "represented_rank"):
@@ -107,35 +108,34 @@ def test_public_names_resolve_once():
     assert {"hopf_forward_arrays", "hopf_section_arrays"} <= set(sw.__all__)
 
 
-def _labelled(basis):
-    """(k, 2l, 2m, vector) of every basis vector: shells by descending l, then k, then m."""
-    n = basis.n
-    for two_l in range(n, n % 2 - 1, -2):
-        for k, tower in enumerate(basis.towers(two_l, sw.shell_multiplicity(n, two_l))):
-            for step, v in enumerate(tower):
+def _shells(n):
+    return range(n, n % 2 - 1, -2)
+
+
+def _labelled(n):
+    """(k, 2l, 2m, vector) of every vector of the reference's full basis:
+    shells by descending l, then k, then m."""
+    for two_l in _shells(n):
+        for k in range(len(dense_highest_weights(n, two_l))):
+            for step, v in enumerate(dense_tower(n, two_l, k)):
                 yield k, two_l, two_l - 2 * step, v
 
 
-def _shell_counts(basis) -> dict[int, int]:
-    return {two_l: k + 1 for k, two_l, two_m, _ in _labelled(basis) if two_m == two_l}
-
-
 def test_decompose_one_spin_exact():
-    entries = list(_labelled(sw.decompose_angular_basis(1)))
-    assert [(k, two_l, two_m) for k, two_l, two_m, _ in entries] == [(0, 1, 1), (0, 1, -1)]
-    assert np.array_equal(entries[0][3], basis_vector(1, 1))
-    assert np.array_equal(entries[1][3], basis_vector(1, 0))
+    towers = sw.decompose_angular_basis(1).towers
+    assert list(towers) == [1]
+    assert np.array_equal(towers[1][0], basis_vector(1, 1))
+    assert np.array_equal(towers[1][1], basis_vector(1, 0))
 
 
 def test_decompose_shell_structure():
-    assert _shell_counts(sw.decompose_angular_basis(2)) == {2: 1, 0: 1}
-    assert _shell_counts(sw.decompose_angular_basis(3)) == {3: 1, 1: 2}
+    assert list(sw.decompose_angular_basis(2).towers) == [2, 0]
+    assert list(sw.decompose_angular_basis(3).towers) == [3, 1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_decompose_is_orthonormal_eigenbasis(n):
-    basis = sw.decompose_angular_basis(n)
-    entries = list(_labelled(basis))
+    entries = list(_labelled(n))
     assert len(entries) == 2**n
 
     u = np.column_stack([v for *_, v in entries])
@@ -148,32 +148,28 @@ def test_decompose_is_orthonormal_eigenbasis(n):
         assert np.max(np.abs(s2 @ v - l * (l + 1) * v)) <= 1e-10
         assert np.max(np.abs(s3 @ v - m * v)) <= 1e-10
 
-    counts = _shell_counts(basis)
-    for two_l, k_count in counts.items():
-        assert k_count == sw.shell_multiplicity(n, two_l)
-    assert sum(k * (two_l + 1) for two_l, k in counts.items()) == 2**n
+    for two_l, tower in sw.decompose_angular_basis(n).towers.items():
+        assert np.max(np.abs(tower - dense_tower(n, two_l, 0))) <= 1e-12, two_l
 
 
 def test_decompose_deterministic():
-    a = _labelled(sw.decompose_angular_basis(4))
-    b = _labelled(sw.decompose_angular_basis(4))
-    for (*la, va), (*lb, vb) in zip(a, b):
-        assert la == lb
-        assert np.array_equal(va, vb)
+    a = sw.decompose_angular_basis(4).towers
+    b = sw.decompose_angular_basis(4).towers
+    assert list(a) == list(b)
+    for two_l in a:
+        assert np.array_equal(a[two_l], b[two_l])
 
 
 def test_decompose_phase_convention():
-    # every highest-weight vector has its lexicographically first nonzero
-    # amplitude real positive ("up" string order = descending index)
-    for n in (2, 3, 4):
-        for _, two_l, two_m, amps in _labelled(sw.decompose_angular_basis(n)):
-            if two_m != two_l:
-                continue
-            for idx in range(2**n - 1, -1, -1):
-                if abs(amps[idx]) > 1e-12:
-                    assert amps[idx].real > 0
-                    assert abs(amps[idx].imag) <= 1e-12
-                    break
+    # each tower's top is led, in lexicographic ("up" string) order, by a
+    # positive amplitude on its sector's first basis state, ups on the
+    # leading sites: nothing before it is non-zero, so no sign needs fixing
+    for n in range(2, 13):
+        for two_l, tower in sw.decompose_angular_basis(n).towers.items():
+            ups = (n + two_l) // 2
+            first = (2**ups - 1) << (n - ups)
+            assert not tower[0, first + 1:].any(), (n, two_l)
+            assert tower[0, first] > 1e-12, (n, two_l)
 
 
 def test_spin_state_validation():

@@ -51,8 +51,8 @@ def test_structured_push_matches_dense_reference(n):
 
 def _cross_shell_pair(n):
     """Unit vectors a (top of the outer shell) and b (top of the next shell)."""
-    basis = sw.decompose_angular_basis(n)
-    return basis.towers(n, 1)[0, 0], basis.towers(n - 2, 1)[0, 0]
+    towers = sw.decompose_angular_basis(n).towers
+    return towers[n][0], towers[n - 2][0]
 
 
 def test_mixture_of_non_commuting_components_commutes():

@@ -1,4 +1,4 @@
-"""The on-demand shell towers against an independent dense construction."""
+"""The represented shell towers against an independent dense construction."""
 
 import tracemalloc
 
@@ -6,78 +6,70 @@ import numpy as np
 import pytest
 
 import spinwigner as sw
+from spinwigner import spin_core
 
-from helpers import dense_spin_squared
+from helpers import dense_highest_weights, dense_tower
 
 
 def _shells(n):
     return range(n, (n % 2) - 1, -2)
 
 
-def _dense_highest_weights(n, two_l):
-    """Highest weights of shell two_l from the dense spectral projector of S^2.
-
-    The projector's block on the S_3 = l sector is orthonormalized column by
-    column in lexicographic order (descending index), and each vector's first
-    non-negligible amplitude in that order is made positive. Returned as rows
-    in full 2^n coordinates.
-    """
-    evals, evecs = np.linalg.eigh(dense_spin_squared(n))
-    l = two_l / 2.0
-    keep = np.abs(evals - l * (l + 1.0)) < 0.25
-    proj = evecs[:, keep] @ evecs[:, keep].conj().T
-    assert np.max(np.abs(proj.imag)) <= 1e-12
-    popcount = np.array([bin(i).count("1") for i in range(2**n)])
-    sector = np.flatnonzero(popcount == (n + two_l) // 2)[::-1]
-    block = proj.real[np.ix_(sector, sector)]
-    vectors = []
-    for col in block.T:
-        w = col.copy()
-        for _ in range(2):
-            for q in vectors:
-                w -= (q @ w) * q
-        if np.linalg.norm(w) > 1e-7:
-            vectors.append(w / np.linalg.norm(w))
-    assert len(vectors) == sw.shell_multiplicity(n, two_l)
-    out = np.zeros((len(vectors), 2**n))
-    for k, q in enumerate(vectors):
-        lead = q[np.flatnonzero(np.abs(q) > 1e-12)[0]]
-        out[k, sector] = q * np.sign(lead)
-    return out
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_highest_weights_match_dense_projector(n):
     basis = sw.decompose_angular_basis(n)
     for two_l in _shells(n):
-        expect = _dense_highest_weights(n, two_l)
-        tops = basis.towers(two_l, sw.shell_multiplicity(n, two_l))[:, 0]
-        assert len(tops) == len(expect)
-        for k, top in enumerate(tops):
-            assert np.max(np.abs(top - expect[k])) <= 1e-12, (n, two_l, k)
+        top, expect = basis.towers[two_l][0], dense_highest_weights(n, two_l)
+        assert np.max(np.abs(top - expect[0])) <= 1e-12, (n, two_l)
+        # orthogonal to the highest weights of the towers the library discards
+        assert np.max(np.abs(expect[1:] @ top), initial=0.0) <= 1e-12, (n, two_l)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_first_tower_does_not_depend_on_count(n):
+    # the library builds one tower per shell, the reference sweeps the whole
+    # sector for all of them; tower 0 is the same either way
     basis = sw.decompose_angular_basis(n)
     for two_l in _shells(n):
-        mult = sw.shell_multiplicity(n, two_l)
-        assert np.array_equal(basis.towers(two_l, 1), basis.towers(two_l, mult)[:1])
+        assert np.max(np.abs(basis.towers[two_l] - dense_tower(n, two_l, 0))) <= 1e-12
 
 
-def test_towers_refuse_counts_outside_the_shell():
-    basis = sw.decompose_angular_basis(4)
-    for two_l, count in ((2, 0), (2, 4), (3, 1), (6, 1)):
-        with pytest.raises(sw.ValidationError):
-            basis.towers(two_l, count)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_basis_holds_the_represented_towers(n):
+    basis = sw.decompose_angular_basis(n)
+    assert list(basis.towers) == list(_shells(n))
+    coeff = sw.construct_omega(basis).coefficients
+    for two_l, tower in basis.towers.items():
+        assert tower.dtype == np.float64 and tower.shape == (two_l + 1, 2**n)
+        assert not tower.flags.writeable
+        lo = two_l * (two_l + 1) // 2
+        assert np.array_equal(coeff[lo:lo + two_l + 1], tower[::-1])
+    with pytest.raises(TypeError):
+        basis.towers[n] = basis.towers[n]
+
+
+def test_construct_omega_builds_no_tower(monkeypatch):
+    calls = []
+    apply_s2 = spin_core._apply_s2
+
+    def counted(x):
+        calls.append(x.shape)
+        return apply_s2(x)
+
+    monkeypatch.setattr(spin_core, "_apply_s2", counted)
+    basis = sw.decompose_angular_basis(6)
+    assert calls  # the counter sees the towers being built
+    calls.clear()
+    sw.construct_omega(basis)
+    assert calls == []
 
 
 def test_embedding_at_twelve_spins_builds_no_full_basis():
-    # the full labelled basis at n = 12 is 268 MB complex
+    # the full labelled basis at n = 12 is 134 MB real
     tracemalloc.start()
     try:
         sw.construct_omega(sw.decompose_angular_basis(12))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20e6  # the map itself is 6 MB complex
+    assert peak < 20e6  # the map itself is 3 MB of real float64

@@ -6,14 +6,18 @@ OLD_SRC and NEW_SRC are ``src`` directories holding a ``spinwigner``
 package. Every job of ``perfbench/jobs.WORKLOADS`` for seeds 7 and 8675309
 runs once against each through ``perfbench/shim.py``, in a fresh
 interpreter. The script compares the exit codes, the bytes of the written
-CSV files (header included) and stdout apart from its ``timing_ms`` line,
-names each difference on stderr, prints one summary line and exits 1 when
-anything differs. It only reads ``perfbench/``.
+CSV files after their first line, ``# spinwigner <version>`` with the
+version each tree declares, and stdout apart from its ``timing_ms`` line.
+A CSV that does not start with its tree's version line is compared whole.
+It names each difference on stderr, prints one summary line, which names
+the two versions when they differ, and exits 1 when anything differs. Of
+this repository it only reads ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +48,21 @@ def run_job(src: str, job, workdir: str) -> tuple[int, bytes | None, list[str]]:
     return proc.returncode, csv, stdout
 
 
+def version(src: str) -> str:
+    """The ``__version__`` that the package in ``src`` declares."""
+    with open(os.path.join(src, "spinwigner", "__init__.py"), encoding="utf-8") as fh:
+        return re.search(r'^__version__ = "([^"]+)"', fh.read(), re.M).group(1)
+
+
+def after_version_line(result, ver: str):
+    """``result`` with the CSV's leading ``# spinwigner <ver>`` line cut off."""
+    code, csv, stdout = result
+    head = f"# spinwigner {ver}\n".encode()
+    if csv is not None and csv.startswith(head):
+        csv = csv[len(head):]
+    return code, csv, stdout
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/parity.py OLD_SRC NEW_SRC", file=sys.stderr)
@@ -53,20 +72,23 @@ def main(argv: list[str]) -> int:
         if not os.path.isdir(os.path.join(src, "spinwigner")):
             print(f"parity: {src} holds no spinwigner package", file=sys.stderr)
             return 2
+    versions = [version(src) for src in trees]
     count, differ = 0, 0
     with tempfile.TemporaryDirectory() as workdir:
         for seed in SEEDS:
             for workload, make_jobs in jobs.WORKLOADS.items():
                 for job in make_jobs(seed):
                     count += 1
-                    old, new = (run_job(src, job, workdir) for src in trees)
+                    old, new = (after_version_line(run_job(src, job, workdir), ver)
+                                for src, ver in zip(trees, versions))
                     diffs = [what for what, a, b in zip(("exit code", "csv", "stdout"), old, new)
                              if a != b]
                     if diffs:
                         differ += 1
                         print(f"{workload} seed {seed} {job.name}: {', '.join(diffs)} differ "
                               f"(exit {old[0]} vs {new[0]})", file=sys.stderr)
-    print(f"parity: {count} jobs, {count - differ} identical, {differ} differ")
+    note = f" (versions {versions[0]} and {versions[1]})" if versions[0] != versions[1] else ""
+    print(f"parity: {count} jobs, {count - differ} identical, {differ} differ{note}")
     return 1 if differ else 0
 
 
