@@ -11,7 +11,7 @@ standard state families and ``cli`` exposes grid evaluation as a command
 line tool.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (

@@ -5,17 +5,18 @@ ordered by total excitation and then by n1, so index 0 is (0, 0) and the
 rows of total T are [T(T+1)/2, (T+1)(T+2)/2). A basis vector |0, l, m> of
 the first degeneracy tower of each shell is sent to |l+m, l-m>, so shell 2l
 fills exactly the rows of total T = 2l; all other towers are annihilated.
-The towers are real, so the map is. The embedding intertwines the collective
-spin components with their two-mode bilinears, which keep the total: J_+ =
-a1^dag a2 is a weighted one-row shift inside each total, so the check runs
-one total at a time. The Gram matrix c^T c of the coefficients c is an
-orthogonal projector onto the represented subspace.
+So the map is one real block per total, the tower itself. It intertwines
+the collective spin components with their two-mode bilinears, which keep
+the total: J_+ = a1^dag a2 is a weighted one-row shift inside each total,
+so the check and the push run one total at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,35 +40,31 @@ def fock_states(cutoff: int) -> tuple[tuple[int, int], ...]:
     return tuple((n1, total - n1) for total in range(cutoff + 1) for n1 in range(total + 1))
 
 
-def _raise_weights(cutoff: int) -> np.ndarray:
-    """sqrt(n1 (n2 + 1)) per Fock row: the J_+ element from the row before,
-    (n1 - 1, n2 + 1), to (n1, n2). It is 0 on each total's first row (n1 = 0),
-    so a one-row shift never crosses totals."""
-    n1, n2 = np.array(fock_states(cutoff)).T
-    return np.sqrt(n1 * (n2 + 1.0))
-
-
 @dataclass(frozen=True)
 class OmegaMap:
-    """Linear map coefficients against the truncated Fock basis.
-
-    ``coefficients[f, j]`` is the amplitude of Fock basis state f in the
-    image of computational basis state j. They are real (float64); a complex
-    array is accepted only when its imaginary part is zero.
+    """The linear map as one block per Fock total T: ``towers[T][s, j]`` is the
+    amplitude of Fock state (T - s, s) in the image of computational basis
+    state j; a total not held maps to zero. Blocks are read-only float64 (a
+    complex one is accepted only when its imaginary part is zero), copied
+    only when writable or not float64, so the basis's towers are shared.
     """
 
     n: int
-    coefficients: np.ndarray
+    towers: Mapping[int, np.ndarray]
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients)
-        if np.iscomplexobj(c) and np.any(c.imag):
-            raise ValidationError("coefficients have a non-zero imaginary part; the map is real")
-        c = np.array(c.real, dtype=float, order="C")  # a copy: the caller's array stays writable
-        expect = (len(fock_states(self.n)), 2**self.n)
-        if c.shape != expect:
-            raise ValidationError(f"coefficient shape {c.shape}, expected {expect}")
-        object.__setattr__(self, "coefficients", _readonly(c))
+        held = {}
+        for total, t in self.towers.items():
+            t = np.asarray(t)
+            if total not in range(self.n + 1) or t.shape != (total + 1, 2**self.n):
+                raise ValidationError(f"block of shape {t.shape} at Fock total {total!r}; "
+                                      f"a total T in 0..{self.n} takes (T + 1, {2**self.n})")
+            if np.iscomplexobj(t) and np.any(t.imag):
+                raise ValidationError(f"block of total {total} has a non-zero imaginary part")
+            if t.flags.writeable or t.dtype != np.float64:
+                t = _readonly(np.array(t.real, dtype=float))
+            held[int(total)] = t
+        object.__setattr__(self, "towers", MappingProxyType(held))
 
 
 @dataclass(frozen=True)
@@ -114,19 +111,9 @@ class OscillatorDensity:
 
 
 def construct_omega(basis: AngularBasis) -> OmegaMap:
-    """Build the canonical embedding from the represented towers.
-
-    Tower k = 0 of each shell, ``basis.towers[2l]``, fills the Fock rows of
-    total 2l; a missing shell is a ``KeyError``. The intertwining property
-    is verified before returning.
-    """
-    n = basis.n
-    coeff = np.zeros((len(fock_states(n)), 2**n))
-    for two_l in range(n, (n % 2) - 1, -2):
-        lo = two_l * (two_l + 1) // 2
-        coeff[lo:lo + two_l + 1] = basis.towers[two_l][::-1]  # row lo + n1 holds m = n1 - l
-
-    omega = OmegaMap(n, coeff)
+    """The canonical embedding, whose block of total 2l is ``basis.towers[2l]``,
+    shared; the intertwining property is verified before returning."""
+    omega = OmegaMap(basis.n, basis.towers)
     residual = intertwining_residual(omega)
     if not residual <= _INTERTWINE_TOL:
         raise NumericError(
@@ -139,27 +126,39 @@ def construct_omega(basis: AngularBasis) -> OmegaMap:
 def intertwining_residual(omega: OmegaMap) -> float:
     """Max entrywise deviation between mapped spin action and ladder action.
 
-    The spin side acts on the rows of the map: ``c @ S_+`` is S_- applied
-    to the columns of ``c.T`` (and vice versa), and ``c @ S_3`` scales
-    column j by its S_3 eigenvalue. The two-mode side acts on each total's
-    rows alone: J_+ c and J_- c shift them by one row with the weights of
-    ``_raise_weights``, and J_3 c scales row (n1, n2) by (n1 - n2) / 2.
+    The spin side acts on the rows of each held block c (row n1 first):
+    ``c @ S_+`` is S_- applied to the columns of ``c.T`` (and vice versa),
+    and ``c @ S_3`` scales column j by its S_3 eigenvalue. The two-mode side
+    shifts the rows by one (J_+ c, J_- c), J_+ = a1^dag a2 taking row
+    (n1 - 1, n2 + 1) to (n1, n2) with weight sqrt(n1 (n2 + 1)), and scales
+    row (n1, n2) by (n1 - n2) / 2 (J_3 c).
     """
-    c, w, s3 = omega.coefficients, _raise_weights(omega.n), _s3_diagonal(omega.n)
+    s3 = _s3_diagonal(omega.n)
     worst = []
-    for total in range(omega.n + 1):
-        lo = total * (total + 1) // 2
-        block, weight = c[lo:lo + total + 1], w[lo + 1:lo + total + 1, None]
-        if not block.any():  # zero residual: ω fills no total of the other parity to n
-            continue
+    for total, t in omega.towers.items():
+        n1 = np.arange(total + 1)[:, None]
+        block, weight = t[::-1], np.sqrt(n1[1:] * (total - n1[1:] + 1.0))
         d_plus = _apply_ladder(block.T, False).T  # c S_+ - J_+ c
         d_plus[1:] -= weight * block[:-1]
         d_minus = _apply_ladder(block.T, True).T  # c S_- - J_- c
         d_minus[:-1] -= weight * block[1:]
-        m = np.arange(total + 1)[:, None] - total / 2.0
+        m = n1 - total / 2.0
         worst += [np.abs(d_plus + d_minus).max() / 2.0, np.abs(d_plus - d_minus).max() / 2.0,
                   np.abs(block * (s3 - m)).max()]
     return float(np.max(worst, initial=0.0))
+
+
+def _image(omega: OmegaMap, x: np.ndarray) -> np.ndarray:
+    """c x for a (2^n, k) array x: per held total, one real product of the
+    block with x's interleaved real and imaginary parts, so neither is made
+    complex. Rows of totals not held stay zero."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    parts = x.view(float)
+    out = np.zeros((len(fock_states(omega.n)), x.shape[1]), dtype=complex)
+    for total, t in omega.towers.items():
+        lo = total * (total + 1) // 2
+        out[lo:lo + total + 1] = (t @ parts).view(complex)[::-1]
+    return out
 
 
 def _commutator_residual(p: np.ndarray, q: np.ndarray) -> float:
@@ -189,8 +188,8 @@ def _pushed(omega: OmegaMap, elements: np.ndarray, residual: float) -> Oscillato
 def _push_dense(omega: OmegaMap, op: np.ndarray) -> OscillatorDensity:
     # op S^2 - S^2 op, with op S^2 = (S^2 op^T)^T since S^2 is real symmetric
     residual = float(np.max(np.abs(_apply_s2(op.T).T - _apply_s2(op))))
-    c = omega.coefficients
-    return _pushed(omega, c @ op @ c.T, residual)
+    # c op c^T = (c (c op)^H)^H, since c is real
+    return _pushed(omega, _image(omega, _image(omega, op).conj().T).conj().T, residual)
 
 
 def _dense_operator(omega: OmegaMap, op: np.ndarray, what: str) -> np.ndarray:
@@ -213,10 +212,10 @@ def push_density(omega: OmegaMap, rho: np.ndarray | SpinMixture) -> OscillatorDe
     """Push a density operator, validating hermiticity, positivity and trace.
 
     A ``SpinMixture`` (weights w_i, states psi_i) is pushed without forming
-    the 2^n x 2^n matrix: the result is sum_i w_i (omega psi_i)(omega psi_i)^H.
-    It is Hermitian and positive by construction, so only its trace is
-    checked. The residual of [rho, S^2] is taken from P Q^H - Q P^H with
-    P = psi w and Q = S^2 psi (see ``_commutator_residual``).
+    the 2^n x 2^n matrix, one total at a time: the result is sum_i w_i
+    (omega psi_i)(omega psi_i)^H, Hermitian and positive by construction,
+    so only its trace is checked. The residual of [rho, S^2] is taken from
+    P Q^H - Q P^H with P = psi w and Q = S^2 psi (see ``_commutator_residual``).
 
     The represented trace of the result may be below 1: weight carried by
     discarded degeneracy towers is lost, and callers should inspect
@@ -230,7 +229,7 @@ def push_density(omega: OmegaMap, rho: np.ndarray | SpinMixture) -> OscillatorDe
             raise ValidationError(f"density trace {tr!r} is not 1 within {_TRACE_TOL}")
         psi, w = rho.amplitudes, rho.weights
         residual = _commutator_residual(psi * w, _apply_s2(psi))
-        image = omega.coefficients @ psi
+        image = _image(omega, psi)
         return _pushed(omega, (image * w) @ image.conj().T, residual)
     rho = _dense_operator(omega, rho, "density")
     herm = float(np.max(np.abs(rho - rho.conj().T)))

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 
-#: Largest spin count accepted. States, the embedding's towers and the push
-#: are handled by O(n 2^n) bit flips; what stays dense (4^n memory, 268 MB
+#: Largest spin count accepted, for every kind. States and the towers, which
+#: are the map, take O(n^2 2^n) memory; what stays dense (4^n memory, 268 MB
 #: complex at n = 12) is the ``operator`` kind's matrix.
 DEFAULT_MAX_SPINS = 12
 

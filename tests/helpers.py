@@ -6,7 +6,6 @@ from functools import lru_cache
 import numpy as np
 
 import spinwigner as sw
-from spinwigner.omega_map import _raise_weights
 from spinwigner.spin_core import _apply_ladder, _apply_s2, _s3_diagonal
 
 _OMEGA_CACHE: dict[int, sw.OmegaMap] = {}
@@ -16,6 +15,18 @@ def omega(n: int) -> sw.OmegaMap:
     if n not in _OMEGA_CACHE:
         _OMEGA_CACHE[n] = sw.construct_omega(sw.decompose_angular_basis(n))
     return _OMEGA_CACHE[n]
+
+
+def dense_map(om: sw.OmegaMap) -> np.ndarray:
+    """The map as one real (Fock size, 2^n) matrix assembled from ``om.towers``:
+    row T(T+1)/2 + n1 is the spin-space row of Fock state (n1, T - n1), which
+    is row T - n1 of ``om.towers[T]``; the rows of totals not held are zero."""
+    index = fock_index(om.n)
+    c = np.zeros((len(index), 2**om.n))
+    for total, tower in om.towers.items():
+        for s, row in enumerate(tower):
+            c[index[(total - s, s)]] = row
+    return c
 
 
 def fock_index(cutoff: int) -> dict[tuple[int, int], int]:
@@ -101,11 +112,13 @@ def dense_tower(n: int, two_l: int, k: int) -> np.ndarray:
 
 def dense_jordan_schwinger(cutoff: int, axis: int) -> np.ndarray:
     """Two-mode bilinear J_1, J_2 or J_3 from the row weights the pipeline
-    shifts by: J_+ = a1^dag a2 has ``_raise_weights`` on its first sub-diagonal."""
+    shifts by: J_+ = a1^dag a2 takes row (n1 - 1, n2 + 1) to (n1, n2) with
+    weight sqrt(n1 (n2 + 1)), on its first sub-diagonal; the weight is 0 on
+    each total's first row, so the shift never crosses totals."""
+    n1, n2 = np.array(sw.fock_states(cutoff)).T
     if axis == 3:
-        n1, n2 = np.array(sw.fock_states(cutoff)).T
         return np.diag((n1 - n2) / 2.0).astype(complex)
-    jp = np.diag(_raise_weights(cutoff)[1:], -1).astype(complex)
+    jp = np.diag(np.sqrt(n1 * (n2 + 1.0))[1:], -1).astype(complex)
     return (jp + jp.T) / 2.0 if axis == 1 else (jp - jp.T) / 2.0j
 
 
@@ -143,7 +156,7 @@ def reference_jordan_schwinger(cutoff: int, axis: int) -> np.ndarray:
 
 def reference_intertwining_residual(om: sw.OmegaMap) -> float:
     """Intertwining residual from dense products J @ c on the whole map."""
-    c = om.coefficients
+    c = dense_map(om)
     c_plus = _apply_ladder(c.T, False).T
     c_minus = _apply_ladder(c.T, True).T
     mapped = {1: (c_plus + c_minus) / 2.0, 2: (c_plus - c_minus) / 2.0j,

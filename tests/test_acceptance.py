@@ -17,9 +17,9 @@ from spinwigner.cli import main
 from spinwigner.omega_map import OscillatorDensity
 from spinwigner.sphere import LmDensity
 
-from helpers import (basis_vector, dense_jordan_schwinger, dense_spin, dense_spin_squared,
-                     fock_index, nonreducible_two_spin_operator, omega, oracle_wigner_integral,
-                     push_pure, singlet_vector)
+from helpers import (basis_vector, dense_jordan_schwinger, dense_map, dense_spin,
+                     dense_spin_squared, fock_index, nonreducible_two_spin_operator, omega,
+                     oracle_wigner_integral, push_pure, singlet_vector)
 
 
 def _report(num: int, text: str, started: float) -> None:
@@ -49,7 +49,7 @@ def test_criterion_02_embedding_correctness():
     om1 = omega(1)
     idx1 = fock_index(1)
     for col, pair in ((1, (1, 0)), (0, (0, 1))):
-        img = om1.coefficients @ basis_vector(1, col)
+        img = dense_map(om1) @ basis_vector(1, col)
         expect = np.zeros(len(idx1), dtype=complex)
         expect[idx1[pair]] = 1.0
         assert np.max(np.abs(img - expect)) <= 1e-12
@@ -65,7 +65,7 @@ def test_criterion_02_embedding_correctness():
         (singlet_vector(), (0, 0)),
     ]
     for vec, pair in cases:
-        img = om2.coefficients @ vec
+        img = dense_map(om2) @ vec
         expect = np.zeros(len(idx2), dtype=complex)
         expect[idx2[pair]] = 1.0
         assert np.max(np.abs(img - expect)) <= 1e-12
@@ -73,16 +73,16 @@ def test_criterion_02_embedding_correctness():
     # three spins: top of the outer shell, projection, rank and intertwining
     om3 = omega(3)
     idx3 = fock_index(3)
-    img = om3.coefficients @ basis_vector(3, 0b111)
+    img = dense_map(om3) @ basis_vector(3, 0b111)
     expect = np.zeros(len(idx3), dtype=complex)
     expect[idx3[(3, 0)]] = 1.0
     assert np.max(np.abs(img - expect)) <= 1e-12
 
     for om in (om1, om2, om3):
-        g = om.coefficients.conj().T @ om.coefficients
+        g = dense_map(om).T @ dense_map(om)
         assert np.max(np.abs(g @ g - g)) <= 1e-12
         assert sw.intertwining_residual(om) <= 1e-10
-    rank3 = int(np.sum(np.linalg.eigvalsh(om3.coefficients.conj().T @ om3.coefficients) > 0.5))
+    rank3 = int(np.sum(np.linalg.eigvalsh(dense_map(om3).T @ dense_map(om3)) > 0.5))
     assert rank3 == 4 + 2
     _report(2, "embedding mappings exact; projector idempotent; rank(n=3) = 6", started)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ import spinwigner as sw
 from spinwigner.omega_map import OscillatorDensity
 
 from helpers import (basis_vector, dense_jordan_schwinger, dense_jordan_schwinger_squared,
-                     dense_tower, fock_index, omega, push_pure, reference_intertwining_residual,
-                     reference_jordan_schwinger, singlet_vector)
+                     dense_map, dense_tower, fock_index, omega, push_pure,
+                     reference_intertwining_residual, reference_jordan_schwinger, singlet_vector)
 
 
 def test_fock_enumeration():
@@ -61,8 +63,8 @@ def test_jordan_schwinger_commutators(cutoff):
 def test_omega_one_spin_mappings_exact():
     om = omega(1)
     idx = fock_index(1)
-    img_up = om.coefficients @ basis_vector(1, 1)
-    img_dn = om.coefficients @ basis_vector(1, 0)
+    img_up = dense_map(om) @ basis_vector(1, 1)
+    img_dn = dense_map(om) @ basis_vector(1, 0)
     for img, target in ((img_up, (1, 0)), (img_dn, (0, 1))):
         expect = np.zeros(len(idx), dtype=complex)
         expect[idx[target]] = 1.0
@@ -72,12 +74,12 @@ def test_omega_one_spin_mappings_exact():
 def test_omega_two_spin_mappings_exact():
     om = omega(2)
     idx = fock_index(2)
-    img = om.coefficients @ basis_vector(2, 0b11)
+    img = dense_map(om) @ basis_vector(2, 0b11)
     expect = np.zeros(len(idx), dtype=complex)
     expect[idx[(2, 0)]] = 1.0
     assert np.max(np.abs(img - expect)) <= 1e-12
 
-    img = om.coefficients @ singlet_vector()
+    img = dense_map(om) @ singlet_vector()
     expect = np.zeros(len(idx), dtype=complex)
     expect[idx[(0, 0)]] = 1.0
     assert np.max(np.abs(img - expect)) <= 1e-12
@@ -86,7 +88,7 @@ def test_omega_two_spin_mappings_exact():
 def test_omega_all_up_mapping_exact():
     for n in (3, 5):
         om = omega(n)
-        img = om.coefficients @ basis_vector(n, 2**n - 1)
+        img = dense_map(om) @ basis_vector(n, 2**n - 1)
         expect = np.zeros(len(sw.fock_states(n)), dtype=complex)
         expect[fock_index(n)[(n, 0)]] = 1.0
         assert np.max(np.abs(img - expect)) <= 1e-12
@@ -95,7 +97,7 @@ def test_omega_all_up_mapping_exact():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_omega_projection_and_intertwining(n):
     om = omega(n)
-    g = om.coefficients.conj().T @ om.coefficients
+    g = dense_map(om).T @ dense_map(om)
     assert np.max(np.abs(g @ g - g)) <= 1e-12
     assert np.max(np.abs(g - g.conj().T)) <= 1e-12
     rank = int(np.sum(np.linalg.eigvalsh(g) > 0.5))
@@ -104,7 +106,7 @@ def test_omega_projection_and_intertwining(n):
 
 
 def test_omega_rank_three_spins():
-    assert np.linalg.matrix_rank(omega(3).coefficients) == 6
+    assert np.linalg.matrix_rank(dense_map(omega(3))) == 6
 
 
 def test_omega_norm_preserving_on_outer_shell():
@@ -112,7 +114,7 @@ def test_omega_norm_preserving_on_outer_shell():
         basis = sw.decompose_angular_basis(n)
         om = omega(n)
         for v in basis.towers[n]:
-            img = om.coefficients @ v
+            img = dense_map(om) @ v
             assert abs(np.linalg.norm(img) - 1.0) <= 1e-10
 
 
@@ -154,9 +156,9 @@ def test_construct_omega_rejects_corrupted_basis(n, bad_l, corrupt):
 
 def _tower_one_map(n):
     """OmegaMap that represents tower k = 1 of shell 2l = 1 instead of k = 0."""
-    coeff = np.array(sw.construct_omega(sw.decompose_angular_basis(n)).coefficients)
-    coeff[1:3] = dense_tower(n, 1, 1)[::-1]  # row 1 + n1 holds m = n1 - 1/2
-    return sw.OmegaMap(n, coeff)
+    towers = dict(sw.construct_omega(sw.decompose_angular_basis(n)).towers)
+    towers[1] = dense_tower(n, 1, 1)  # row s holds m = 1/2 - s, Fock state (1 - s, s)
+    return sw.OmegaMap(n, towers)
 
 
 @pytest.mark.parametrize("n, tower", [(n, None) for n in range(1, 11)] + [(3, 1)])
@@ -168,24 +170,70 @@ def test_intertwining_residual_matches_dense_reference(n, tower):
 
 def test_omega_coefficients_are_real_and_read_only():
     om = omega(3)
-    assert om.coefficients.dtype == np.float64 and not om.coefficients.flags.writeable
-    coeff = np.array(om.coefficients)
-    assert np.array_equal(sw.OmegaMap(3, coeff.astype(complex)).coefficients, coeff)
+    for tower in om.towers.values():
+        assert tower.dtype == np.float64 and not tower.flags.writeable
+    given = np.array(om.towers[3])
+    held = sw.OmegaMap(3, {3: given}).towers[3]
+    assert np.array_equal(held, given) and not np.shares_memory(held, given)
+    assert np.array_equal(sw.OmegaMap(3, {3: given.astype(complex)}).towers[3], given)
     for imag in (1e-300, np.nan):
         with pytest.raises(sw.ValidationError, match="imaginary"):
-            sw.OmegaMap(3, coeff + 1j * imag)
+            sw.OmegaMap(3, {3: given + 1j * imag})
+    with pytest.raises(TypeError):
+        om.towers[3] = given
+
+
+@pytest.mark.parametrize("total, shape", [(4, (5, 8)), (-1, (0, 8)), (1, (3, 8)), (1, (2, 4))])
+def test_omega_map_refuses_a_total_or_shape_off_the_map(total, shape):
+    with pytest.raises(sw.ValidationError):
+        sw.OmegaMap(3, {total: np.zeros(shape)})
 
 
 def test_intertwining_residual_checks_totals_of_the_other_parity():
-    # construct_omega leaves the odd totals of an n = 4 map empty; a row written
-    # there must still count, although the check skips all-zero totals
-    coeff = np.array(sw.construct_omega(sw.decompose_angular_basis(4)).coefficients)
-    assert not coeff[1:3].any()
-    coeff[1] = np.linspace(0.1, 1.6, 16)  # total 1, Fock row (0, 1)
-    om = sw.OmegaMap(4, coeff)
+    # construct_omega holds no odd total of an n = 4 map; a block held there
+    # must still count
+    towers = dict(sw.construct_omega(sw.decompose_angular_basis(4)).towers)
+    assert 1 not in towers
+    towers[1] = np.zeros((2, 16))
+    towers[1][1] = np.linspace(0.1, 1.6, 16)  # total 1, Fock row (0, 1)
+    om = sw.OmegaMap(4, towers)
     residual = sw.intertwining_residual(om)
     assert residual > 0.1
     assert abs(residual - reference_intertwining_residual(om)) <= 1e-14
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _dense_map_bytes(n):
+    """Bytes of one real (Fock size, 2^n) map, 2.98 MB at n = 12."""
+    return len(sw.fock_states(n)) * 2**n * 8
+
+
+def test_construct_omega_at_twelve_spins_peaks_below_one_dense_map():
+    basis = sw.decompose_angular_basis(12)
+    assert _traced_peak(lambda: sw.construct_omega(basis)) < _dense_map_bytes(12)
+
+
+def test_mixture_push_at_twelve_spins_peaks_below_one_dense_map():
+    om = sw.construct_omega(sw.decompose_angular_basis(12))
+    mix = sw.mixture([(0.5, sw.spin_coherent(12, 1.1, 0.4)), (0.5, sw.cat_state(12))])
+    assert _traced_peak(lambda: sw.push_density(om, mix)) < _dense_map_bytes(12)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 12])
+def test_construct_omega_shares_the_basis_towers(n):
+    basis = sw.decompose_angular_basis(n)
+    om = sw.construct_omega(basis)
+    assert list(om.towers) == list(basis.towers)
+    for total, tower in basis.towers.items():
+        assert np.shares_memory(om.towers[total], tower)
 
 
 @pytest.mark.parametrize("cutoff", range(1, 9))

@@ -14,7 +14,7 @@ import pytest
 
 import spinwigner as sw
 
-from helpers import dense_spin_squared, omega, state_families
+from helpers import dense_map, dense_spin_squared, omega, state_families
 
 
 def _swap_s2(n):
@@ -33,7 +33,7 @@ def _swap_s2(n):
 def test_structured_push_matches_dense_reference(n):
     s2 = _swap_s2(n)
     assert np.array_equal(s2, dense_spin_squared(n))
-    c = omega(n).coefficients
+    c = dense_map(omega(n))
     for name, mix in state_families(n).items():
         rho = np.asarray(mix)
         elements = c @ rho @ c.conj().T
@@ -80,17 +80,15 @@ def test_spin_mixture_validation():
 
 
 def test_constructors_copy_the_callers_arrays():
-    coeff = np.array(omega(1).coefficients)
+    tower = np.array(omega(1).towers[1])
     elements = np.eye(3, dtype=complex)
     amps = sw.cat_state(1).amplitudes.copy()
     weights, columns = np.array([0.25, 0.75]), np.eye(2, dtype=complex)
     mix = sw.SpinMixture(1, weights, columns)
-    for obj, name, given in [(sw.OmegaMap(1, coeff), "coefficients", coeff),
-                             (sw.OscillatorDensity.from_fock_elements(1, elements), "elements",
-                              elements),
-                             (sw.SpinState(1, amps), "amplitudes", amps),
-                             (mix, "weights", weights), (mix, "amplitudes", columns)]:
-        held = getattr(obj, name)
+    for held, given in [(sw.OmegaMap(1, {1: tower}).towers[1], tower),
+                        (sw.OscillatorDensity.from_fock_elements(1, elements).elements, elements),
+                        (sw.SpinState(1, amps).amplitudes, amps),
+                        (mix.weights, weights), (mix.amplitudes, columns)]:
         kept = held.copy()
         assert given.flags.writeable and not held.flags.writeable
         given[...] = 0.0  # editing the caller's array leaves the object as it was

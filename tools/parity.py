@@ -9,9 +9,11 @@ interpreter. The script compares the exit codes, the bytes of the written
 CSV files after their first line, ``# spinwigner <version>`` with the
 version each tree declares, and stdout apart from its ``timing_ms`` line.
 A CSV that does not start with its tree's version line is compared whole.
-It names each difference on stderr, prints one summary line, which names
-the two versions when they differ, and exits 1 when anything differs. Of
-this repository it only reads ``perfbench/``.
+It names each difference on stderr and sizes it: for a CSV, how many data
+lines differ and the largest absolute gap between their parsed values; for
+stdout, the ``key=`` of the first line that differs. It prints one summary
+line, which names the two versions when they differ, and exits 1 when
+anything differs. Of this repository it only reads ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 SHIM = os.path.join(PERFBENCH, "shim.py")
@@ -63,6 +66,36 @@ def after_version_line(result, ver: str):
     return code, csv, stdout
 
 
+def csv_size(old: bytes | None, new: bytes | None) -> str:
+    """How many data lines of two CSVs differ, and the largest absolute gap
+    between the values of those lines (NaN when one does not parse). Lines
+    after ``#`` comments and the column header are data lines; a line that
+    only one file has counts as differing."""
+    if old is None or new is None:
+        return "csv written by one side only"
+    rows = [[line for line in csv.decode("utf-8").splitlines() if not line.startswith("#")]
+            for csv in (old, new)]
+    header = "" if rows[0][:1] == rows[1][:1] else ", column header differs"
+    data = [r[1:] for r in rows]
+    lines, gap = abs(len(data[0]) - len(data[1])), 0.0
+    for a, b in zip(*data):
+        if a != b:
+            lines += 1
+            try:
+                gap = max([gap, *(abs(float(x) - float(y))
+                                  for x, y in zip(a.split(","), b.split(","), strict=True))])
+            except ValueError:
+                gap = float("nan")
+    return f"csv: {lines} of {max(map(len, data))} data lines differ, largest gap {gap:.1e}{header}"
+
+
+def stdout_size(old: list[str], new: list[str]) -> str:
+    """The ``key=`` of the first stdout line that differs (one side may have
+    no line there)."""
+    a, b = next((a, b) for a, b in zip_longest(old, new) if a != b)
+    return f"stdout: first at {(a if a is not None else b).split('=', 1)[0]}="
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/parity.py OLD_SRC NEW_SRC", file=sys.stderr)
@@ -85,8 +118,11 @@ def main(argv: list[str]) -> int:
                              if a != b]
                     if diffs:
                         differ += 1
+                        sizes = ([csv_size(old[1], new[1])] if "csv" in diffs else []) + (
+                            [stdout_size(old[2], new[2])] if "stdout" in diffs else [])
                         print(f"{workload} seed {seed} {job.name}: {', '.join(diffs)} differ "
-                              f"(exit {old[0]} vs {new[0]})", file=sys.stderr)
+                              f"(exit {old[0]} vs {new[0]})" + "".join(f"; {x}" for x in sizes),
+                              file=sys.stderr)
     note = f" (versions {versions[0]} and {versions[1]})" if versions[0] != versions[1] else ""
     print(f"parity: {count} jobs, {count - differ} identical, {differ} differ{note}")
     return 1 if differ else 0
