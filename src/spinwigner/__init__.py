@@ -11,7 +11,7 @@ standard state families and ``cli`` exposes grid evaluation as a command
 line tool.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (
@@ -32,6 +32,7 @@ from .omega_map import (
 from .moyal import laguerre, moyal_1d, wigner_4d_many, wigner_complex_many
 from .reduced_space import (
     check_fiber_invariance,
+    fiber_average,
     hopf_forward_arrays,
     hopf_section_arrays,
     reduced_wigner_many,
@@ -70,6 +71,7 @@ __all__ = [
     "check_fiber_invariance",
     "construct_omega",
     "decompose_angular_basis",
+    "fiber_average",
     "fock_state",
     "fock_states",
     "hopf_forward_arrays",

@@ -54,7 +54,7 @@ from . import __version__
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .moyal import wigner_complex_many
 from .omega_map import OscillatorDensity, construct_omega, push_density, push_operator
-from .reduced_space import check_fiber_invariance, reduced_wigner_many
+from .reduced_space import check_fiber_invariance, fiber_average, reduced_wigner_many
 from .spin_core import _check_capacity, decompose_angular_basis
 from .sphere import LmDensity, sphere_normalization, ws_analytic, ws_numeric_many
 from .states import StateSpec, realize_operator
@@ -431,9 +431,8 @@ def _write_grid(path: str, header: list[str], grid: GridSpec, names: list[str],
 
 
 def _maybe_normalization(density: OscillatorDensity, notes: list[str]) -> float:
-    if not density.commutes_with_s2:
-        notes.append("normalization skipped: operator does not commute with total spin squared")
-        return math.nan
+    """Sphere integral of the fiber average, or NaN with a note saying why not."""
+    density = fiber_average(density)
     if density.represented_trace <= 1e-9:
         notes.append(f"normalization skipped: represented trace "
                      f"{density.represented_trace:.3e} is not above 1e-9")
@@ -453,18 +452,26 @@ def _evaluate_grid(spec: StateSpec, grid: GridSpec, out_path: str, evaluate,
     """Push, evaluate, normalize, and write the file only once all succeeded.
 
     ``evaluate(density, *axis_points, notes)`` gets one flat array per axis
-    and returns the value column names and arrays.
+    and returns the value column names and arrays. The three-variable grids
+    (volume, sphere) get ``fiber_average`` of the pushed operator; when that
+    is not the operator itself, a note and a header line say so.
     """
     started = time.perf_counter()
-    density, _ = _push_spec(spec)
+    pushed, _ = _push_spec(spec)
+    density = pushed if grid.kind == "plane4d" else fiber_average(pushed)
     mesh = np.meshgrid(*(a.points() for a in grid.axes), indexing="ij")
     notes: list[str] = []
+    if density is not pushed:
+        notes.append(f"fiber average: operator does not commute with total spin squared "
+                     f"(residual {pushed.s2_residual:.3e}); plane4d shows the cross-shell "
+                     "coherences the average drops")
+        header = (*header, "reduction: fiber average")
     names, values = evaluate(density, *(g.ravel() for g in mesh), notes)
     norm = _maybe_normalization(density, notes)
     _write_grid(out_path, [f"spinwigner {__version__}", f"state: {spec.describe()}",
                            f"grid: {grid.describe()}", *header], grid, names, values)
     elapsed = (time.perf_counter() - started) * 1000.0
-    return EvalReport(density.represented_trace, density.commutes_with_s2,
+    return EvalReport(pushed.represented_trace, pushed.commutes_with_s2,
                       norm, elapsed, notes=tuple(notes))
 
 
@@ -472,12 +479,6 @@ def cmd_eval_volume(spec: StateSpec, grid: GridSpec, out_path: str) -> EvalRepor
     """Evaluate the reduced function on a volume grid and write it out."""
 
     def evaluate(density, x1, x2, x3, notes):
-        if not density.commutes_with_s2:
-            raise ValidationError(
-                "state does not commute with total spin squared (commutator residual "
-                f"{density.s2_residual:.3e}); the three-variable reduction is undefined. "
-                "Evaluate a plane4d slice instead."
-            )
         return ["value"], [_chunked(
             lambda s: reduced_wigner_many(density, x1[s], x2[s], x3[s]), x1.size)]
 
@@ -489,24 +490,14 @@ def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
     """Evaluate the spherical function on an angular grid and write it out."""
 
     def evaluate(density, theta, phi, notes):
-        force = not density.commutes_with_s2
         analytic = numeric = None
-        if force:
-            notes.append("numeric route uses the canonical section: operator does not "
-                         "commute with total spin squared, values are section-dependent")
-            if method != "numeric":
-                notes.append("analytic route fell back to numeric: cross-shell coherences "
-                             "have no closed spherical form")
-        elif method != "numeric":
+        if method != "numeric":
             try:
-                lm = LmDensity.from_density(density)
-                analytic = ws_analytic(lm, theta, phi)
+                analytic = ws_analytic(LmDensity.from_density(density), theta, phi)
             except ValidationError as exc:
                 notes.append(f"analytic route fell back to numeric: {exc}")
         if method != "analytic" or analytic is None:
-            numeric = _chunked(
-                lambda s: ws_numeric_many(density, theta[s], phi[s], force_section=force),
-                theta.size)
+            numeric = _chunked(lambda s: ws_numeric_many(density, theta[s], phi[s]), theta.size)
         if analytic is not None and numeric is not None:
             return (["value", "value_numeric", "abs_diff"],
                     [analytic, numeric, np.abs(analytic - numeric)])
@@ -518,8 +509,9 @@ def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
 def cmd_eval_plane4d(spec: StateSpec, grid: GridSpec, out_path: str) -> EvalReport:
     """Evaluate a two-coordinate slice of the four-dimensional function.
 
-    This is the escape hatch for operators that cannot be reduced to three
-    variables; complex values are written as separate re/im columns.
+    This is the one view of the coherences between Fock totals that the
+    fiber average of ``volume`` and ``sphere`` drops; complex values are
+    written as separate re/im columns.
     """
 
     def evaluate(density, ga, gb, notes):

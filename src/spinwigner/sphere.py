@@ -20,7 +20,8 @@ stays as the paper's general closed form for any c, summed exactly from
 terminating Gauss series without quadrature; the tests check that pole
 identity and the per-term closed-form sum against it. Coherences between
 different shells have no closed form here and are refused by the analytic
-route.
+route. The numeric route reduces by the fiber average, which has none, so
+both routes agree on ``fiber_average(d)`` for every operator d.
 
 Both routes take angle arrays that broadcast together (0-d scalars
 included) and refuse a NaN or inf angle by name. Any finite (theta, phi)
@@ -37,9 +38,9 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .omega_map import OscillatorDensity, fock_states
-from .moyal import _finite, wigner_complex_many, wigner_4d_many
+from .moyal import _finite
 from .spin_core import _readonly
-from .reduced_space import _require_commuting, hopf_section_arrays
+from .reduced_space import reduced_wigner_many
 
 _IMAG_TOL = 1e-10
 _LM_CUT = 1e-13
@@ -53,37 +54,24 @@ def _gauss_laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def ws_numeric_many(density: OscillatorDensity, theta, phi, *,
-                    force_section: bool = False) -> np.ndarray:
+def ws_numeric_many(density: OscillatorDensity, theta, phi) -> np.ndarray:
     """Spherical function on arrays of angles, by radial Gauss-Laguerre.
 
-    Along each ray the reduced function is exp(-r) times a polynomial of
-    degree at most n in r, so with the weight r the integrand has degree at
-    most n + 1. The rule is (n + 3) // 2 Gauss-Laguerre nodes, the fewest k
-    with 2k - 1 >= n + 1, so every value is the exact radial integral up to
+    Integrates ``reduced_wigner_many``, so an operator failing the
+    commutation test gives the values of its fiber average. Along each ray
+    the reduced function is exp(-r) times a polynomial of degree at most n
+    in r, so with the weight r the integrand has degree at most n + 1. The
+    rule is (n + 3) // 2 Gauss-Laguerre nodes, the fewest k with
+    2k - 1 >= n + 1, so every value is the exact radial integral up to
     rounding.
-
-    ``force_section`` evaluates along the canonical fiber section even for
-    operators failing the commutation test; the result is then
-    section-dependent and its real part is returned without the
-    imaginary-residual assertion.
     """
-    if not force_section:
-        _require_commuting(density)
     theta, phi = np.broadcast_arrays(*_finite(theta=theta, phi=phi))
     r, w = _gauss_laguerre((density.n + 3) // 2)
     st = np.sin(theta)[..., None]
     nx = st * np.cos(phi)[..., None]
     ny = st * np.sin(phi)[..., None]
     nz = np.cos(theta)[..., None]
-    x1 = r * nx
-    x2 = r * ny
-    x3 = r * nz
-    q1, p1, q2, p2 = hopf_section_arrays(x1, x2, x3)
-    if force_section:
-        vals = wigner_complex_many(density, q1, p1, q2, p2).real
-    else:
-        vals = wigner_4d_many(density, q1, p1, q2, p2)
+    vals = reduced_wigner_many(density, r * nx, r * ny, r * nz)
     radial = w * np.exp(r) * r
     return (math.pi / 4.0) * np.sum(vals * radial, axis=-1)
 
@@ -167,7 +155,8 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
 
     Only same-shell terms are supported; cross-shell coherences are refused
     with the offending terms named, so callers can fall back to the numeric
-    route explicitly. The function is rotation covariant, so each shell 2l is
+    route explicitly. An operator failing the commutation test has none once
+    averaged: ``LmDensity.from_density(fiber_average(d))``. The function is rotation covariant, so each shell 2l is
     its value at the pole rotated to the direction:
 
         W = sum_m delta_m(l) <l, m; theta, phi| rho_l |l, m; theta, phi>,
@@ -235,9 +224,8 @@ def sphere_normalization(density: OscillatorDensity) -> float:
     polynomial of degree at most n in the direction cosines. Gauss-Legendre
     with n//2 + 1 nodes in cos(theta), crossed with n + 1 uniform azimuths
     (at least 2 of each), integrates such a polynomial exactly, and that is
-    the rule used. Equals the represented trace for operators commuting with
-    total spin squared, so 1 for normalized pure states inside the
-    represented subspace.
+    the rule used. Equals the represented trace, which the fiber average
+    keeps, so 1 for normalized pure states inside the represented subspace.
     """
     n_theta, n_phi = max(2, density.n // 2 + 1), max(2, density.n + 1)
     cos_nodes, cos_weights = np.polynomial.legendre.leggauss(n_theta)

@@ -162,14 +162,35 @@ def test_volume_command_singlet_matches_closed_form(tmp_path):
     assert np.max(np.abs(rows[:, 3] - np.exp(-r) / math.pi**2)) <= 1e-10
 
 
-def test_volume_refuses_cross_shell_state(tmp_path, capsys):
-    state = _state_file(tmp_path, MIXED_SHELLS)
-    out = str(tmp_path / "vol.csv")
-    code = main(["volume", "--state", state, "--grid",
-                 "x1:-1:1:3,x2:-1:1:3,x3:-1:1:3", "--out", out])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "plane4d" in err
+def _half_triplet_half_singlet(rows):
+    """Closed form of (|uu><uu| + |singlet><singlet|) / 2 at each row's x."""
+    x3 = rows[:, 2]
+    r = np.linalg.norm(rows[:, :3], axis=1)
+    s = r + x3
+    return 0.5 * np.exp(-r) / math.pi**2 * (1.0 + (1.0 - 2.0 * s + 0.5 * s * s))
+
+
+def _assert_fiber_averaged_volume(tmp_path, capsys, text):
+    out = tmp_path / "vol.csv"
+    assert main(["volume", "--state", _state_file(tmp_path, text), "--grid",
+                 "x1:-2:2:5,x2:-2:2:5,x3:-2:2:5", "--out", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert "commutes_with_s2=false" in report
+    assert "normalization_check=1.0000000000" in report
+    notes = [line for line in report.splitlines() if line.startswith("note=")]
+    assert len(notes) == 1
+    assert notes[0].startswith("note=fiber average: operator does not commute with total "
+                               "spin squared (residual ")
+    assert "plane4d" in notes[0]
+    header, _, rows = _read_table(str(out))
+    assert header[-1] == "# reduction: fiber average"
+    assert np.max(np.abs(rows[:, 3] - _half_triplet_half_singlet(rows))) <= 1e-12
+
+
+def test_volume_fiber_averages_cross_shell_state(tmp_path, capsys):
+    # (|uu> + singlet)/sqrt2: the average keeps each shell's half and drops
+    # the coherence between them
+    _assert_fiber_averaged_volume(tmp_path, capsys, MIXED_SHELLS)
 
 
 def test_sphere_command_singlet_uniform(tmp_path):
@@ -305,6 +326,7 @@ def test_analytic_route_falls_back_for_commuting_state_with_cross_shell_terms(tm
 
     report, numeric = run("numeric")
     assert "commutes_with_s2=true" in report and numeric[0] == "theta,phi,value"
+    assert "reduction" not in (tmp_path / "numeric.csv").read_text()
     for method in ("analytic", "both"):
         report, data = run(method)
         assert ("note=analytic route fell back to numeric: no closed spherical form for "
@@ -346,6 +368,34 @@ def test_non_hermitian_commuting_operator_skips_normalization(tmp_path, capsys):
                      "--out", str(tmp_path / f"{command}.csv")]) == 2
         assert "not Hermitian" in capsys.readouterr().err
         assert not (tmp_path / f"{command}.csv").exists()
+
+
+# 1 + S_+ at two spins plus the cross-shell coherence |uu>(<ud| - <du|)/sqrt2
+_NON_HERMITIAN_NON_COMMUTING = (
+    "kind operator\nspins 2\nrow 1,0 0,0 0,0 0,0\nrow 1,0 1,0 0,0 0,0\nrow 1,0 0,0 1,0 0,0\n"
+    f"row 0,0 {1 - 1 / ROOT2!r},0 {1 + 1 / ROOT2!r},0 1,0\n")
+
+
+@pytest.mark.parametrize("command, grid", [("volume", "x1:-1:1:3,x2:-1:1:3,x3:-1:1:3"),
+                                           ("sphere", "theta:0:3:3,phi:0:6:3")])
+def test_non_hermitian_fiber_average_is_a_numeric_error(tmp_path, capsys, command, grid):
+    # the average is 1 + S_+, whose reduced functions are complex
+    state = _state_file(tmp_path, _NON_HERMITIAN_NON_COMMUTING)
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--state", state, "--grid", grid, "--out", str(out)]) == 2
+    assert "not Hermitian" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_leaves_numpy_random_unloaded(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; from spinwigner.cli import main; code = main(sys.argv[1:]); "
+            "print('numpy.random' in sys.modules); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, "check", "--state",
+                           _state_file(tmp_path, CAT5)], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_check_command_nonreducible_operator_fails(tmp_path, capsys):
@@ -528,7 +578,7 @@ def _raw_component(weight, vec):
     return f"component {weight!r} raw " + " ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in vec)
 
 
-def test_non_commuting_raw_mixture_residual_and_refusal(tmp_path, capsys):
+def test_non_commuting_raw_mixture_residual_and_fiber_average(tmp_path, capsys):
     # unequal weights keep the cross-shell coherence of (uu +- singlet)/sqrt2
     up = np.array([0, 0, 0, 1], dtype=complex)
     singlet = np.array([0, -1, 1, 0], dtype=complex) / ROOT2
@@ -543,12 +593,9 @@ def test_non_commuting_raw_mixture_residual_and_refusal(tmp_path, capsys):
     om = sw.construct_omega(sw.decompose_angular_basis(2))
     assert abs(sw.push_density(om, mix).s2_residual - dense) <= 1e-12
 
-    out = tmp_path / "vol.csv"
-    code = main(["volume", "--state", _state_file(tmp_path, text), "--grid",
-                 "x1:-1:1:3,x2:-1:1:3,x3:-1:1:3", "--out", str(out)])
-    assert code == 1
-    assert "plane4d" in capsys.readouterr().err
-    assert not out.exists()
+    # the weights sit only on the coherence, so the average is the same
+    # half |uu>, half singlet operator as that of the pure superposition
+    _assert_fiber_averaged_volume(tmp_path, capsys, text)
 
 
 @pytest.mark.parametrize("weights", [(-0.2, 1.2), (0.5, 0.6)])

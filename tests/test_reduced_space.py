@@ -94,10 +94,96 @@ def test_reduced_outer_shell_product_state():
     assert np.max(np.abs(vals - expect)) <= 1e-10
 
 
-def test_reduced_refuses_nonreducible():
+def _fiber_mean(density, x1, x2, x3):
+    """Mean of the four-dimensional function over 2(n + 1) equally spaced
+    fiber angles above each point: a fiber rotation turns the (T, T') block
+    by exp(i chi (T' - T)), |T' - T| <= n, so the rule is exact."""
+    q1, p1, q2, p2 = hopf_section_arrays(x1, x2, x3)
+    count = 2 * (density.n + 1)
+    total = 0.0
+    for chi in 2.0 * math.pi * np.arange(count) / count:
+        c, s = math.cos(chi), math.sin(chi)
+        total = total + sw.wigner_complex_many(density, c * q1 + s * p1, -s * q1 + c * p1,
+                                               c * q2 + s * p2, -s * q2 + c * p2)
+    return total / count
+
+
+def _random_non_commuting(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    d = sw.push_operator(omega(n), (a + a.conj().T) / 2**n)
+    assert not d.commutes_with_s2
+    return d
+
+
+def test_nonreducible_operator_averages_to_zero():
+    # |uu>(<ud| - <du|)/sqrt2 lies wholly in the (T, T') = (2, 0) block; the
+    # push leaves only roundoff (2e-17) in the (2, 2) block
     d = sw.push_operator(omega(2), nonreducible_two_spin_operator())
-    with pytest.raises(sw.ValidationError, match="commute"):
-        sw.reduced_wigner_many(d, 1.0, 0.0, 0.0)
+    avg = sw.fiber_average(d)
+    assert not d.commutes_with_s2 and avg.s2_residual == 0.0
+    assert np.max(np.abs(avg.elements)) <= 1e-16
+    assert avg.represented_trace == d.represented_trace == 0.0
+    x = np.random.default_rng(5).uniform(-2, 2, size=(3, 30))
+    assert np.max(np.abs(sw.reduced_wigner_many(d, *x))) <= 1e-16
+    assert np.max(np.abs(_fiber_mean(d, *x))) <= 1e-15
+    # written on the Fock rows directly, the coherence averages to exactly zero
+    e = np.zeros((6, 6), dtype=complex)
+    e[3, 0] = 1.0  # |(2, 0)><(0, 0)|
+    exact = OscillatorDensity.from_fock_elements(2, e)
+    assert not sw.fiber_average(exact).elements.any()
+    assert not sw.reduced_wigner_many(exact, *x).any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fiber_average_keeps_the_same_total_blocks(n):
+    d = _random_non_commuting(n, 40 + n)
+    avg = sw.fiber_average(d)
+    totals = np.array([a + b for a, b in sw.fock_states(n)])
+    same = totals[:, None] == totals[None, :]
+    assert np.array_equal(avg.elements, np.where(same, d.elements, 0.0))
+    assert avg.s2_residual == 0.0 and avg.commutes_with_s2
+    assert abs(avg.represented_trace - d.represented_trace) <= 1e-15
+    assert np.max(np.abs(d.elements[~same])) > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_reduced_and_sphere_values_are_fiber_means(n):
+    d = _random_non_commuting(n, 60 + n)
+    rng = np.random.default_rng(70 + n)
+    x = rng.uniform(-3, 3, size=(3, 200))
+    expect = _fiber_mean(d, *x)
+    got = sw.reduced_wigner_many(d, *x)
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+    # the numeric sphere route: the same Gauss-Laguerre rule on the fiber means
+    theta, phi = rng.uniform(0, math.pi, 12), rng.uniform(0, 2 * math.pi, 12)
+    r, w = np.polynomial.laguerre.laggauss((n + 3) // 2)
+    dirs = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    rays = _fiber_mean(d, *(dirs[:, :, None] * r)).real
+    sphere = math.pi / 4.0 * np.sum(rays * (w * np.exp(r) * r), axis=-1)
+    numeric = sw.ws_numeric_many(d, theta, phi)
+    assert np.max(np.abs(numeric - sphere)) <= 1e-14 * np.max(np.abs(sphere))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_analytic_route_on_the_fiber_average(n):
+    d = _random_non_commuting(n, 80 + n)
+    theta, phi = np.meshgrid(np.linspace(0, math.pi, 9), np.linspace(0, 2 * math.pi, 11))
+    numeric = sw.ws_numeric_many(d, theta, phi)
+    analytic = sw.ws_analytic(sw.LmDensity.from_density(sw.fiber_average(d)), theta, phi)
+    assert np.max(np.abs(analytic - numeric)) <= 1e-13 * np.max(np.abs(numeric))
+    assert abs(sw.sphere_normalization(d) - d.represented_trace) <= 1e-12
+
+
+def test_fiber_average_returns_a_commuting_operator_itself():
+    # |uu> plus a 1e-10 singlet passes the commutation test, and keeps its
+    # cross-shell entries; so do the singlet and |uuu>
+    eps = 1e-10
+    vec = math.sqrt(1.0 - eps * eps) * basis_vector(2, 0b11) + eps * singlet_vector()
+    d = push_pure(2, vec)
+    assert sw.LmDensity.from_density(d).cross_shell
+    for density in (d, push_pure(2, singlet_vector()), push_pure(3, basis_vector(3, 0b111))):
+        assert density.commutes_with_s2 and sw.fiber_average(density) is density
 
 
 def test_wigner_constant_on_fibers_for_reducible():
