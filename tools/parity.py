@@ -10,20 +10,25 @@ CSV files after their first line, ``# spinwigner <version>`` with the
 version each tree declares, and stdout apart from its ``timing_ms`` line.
 A CSV that does not start with its tree's version line is compared whole.
 It names each difference on stderr and sizes it: for a CSV, how many data
-lines differ and the largest absolute gap between their parsed values; for
-stdout, the ``key=`` of the first line that differs. It prints one summary
+lines differ, the largest absolute gap between their parsed values, and for
+each column that moves, its largest gap relative to the column's largest
+|value| (a column of pure roundoff moves on many lines by a tiny share of
+its size); for stdout, the ``key=`` of the first line that differs. It prints one summary
 line, which names the two versions when they differ, and exits 1 when
 anything differs. Of this repository it only reads ``perfbench/``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
 from itertools import zip_longest
+
+import numpy as np
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 SHIM = os.path.join(PERFBENCH, "shim.py")
@@ -67,26 +72,34 @@ def after_version_line(result, ver: str):
 
 
 def csv_size(old: bytes | None, new: bytes | None) -> str:
-    """How many data lines of two CSVs differ, and the largest absolute gap
-    between the values of those lines (NaN when one does not parse). Lines
-    after ``#`` comments and the column header are data lines; a line that
-    only one file has counts as differing."""
+    """How many data lines of two CSVs differ, the largest absolute gap
+    between the values of the lines both have (NaN when they do not parse
+    alike), and per column that moves, that column's largest gap over its
+    largest |value| in either file. Lines after ``#`` comments and the
+    column header are data lines; a line that only one file has counts as
+    differing."""
     if old is None or new is None:
         return "csv written by one side only"
     rows = [[line for line in csv.decode("utf-8").splitlines() if not line.startswith("#")]
             for csv in (old, new)]
     header = "" if rows[0][:1] == rows[1][:1] else ", column header differs"
     data = [r[1:] for r in rows]
-    lines, gap = abs(len(data[0]) - len(data[1])), 0.0
-    for a, b in zip(*data):
-        if a != b:
-            lines += 1
-            try:
-                gap = max([gap, *(abs(float(x) - float(y))
-                                  for x, y in zip(a.split(","), b.split(","), strict=True))])
-            except ValueError:
-                gap = float("nan")
-    return f"csv: {lines} of {max(map(len, data))} data lines differ, largest gap {gap:.1e}{header}"
+    both = min(map(len, data))
+    lines = abs(len(data[0]) - len(data[1])) + sum(a != b for a, b in zip(*data))
+    size = f"csv: {lines} of {max(map(len, data))} data lines differ"
+    if not both:
+        return size + header
+    try:
+        values = [np.array([line.split(",") for line in d[:both]], dtype=float).reshape(both, -1)
+                  for d in data]
+        gaps = np.max(np.abs(values[0] - values[1]), axis=0, initial=0.0)
+    except ValueError:
+        return f"{size}, largest gap nan{header}"
+    peaks = np.max(np.abs(np.concatenate(values)), axis=0, initial=0.0)
+    moved = ", ".join(f"{name} {gap / peak if peak else math.inf:.1e}" for name, gap, peak
+                      in zip(rows[0][0].split(","), gaps.tolist(), peaks.tolist()) if gap)
+    relative = f"; gap / column max |value|: {moved}" if moved else ""
+    return f"{size}, largest gap {np.max(gaps, initial=0.0):.1e}{relative}{header}"
 
 
 def stdout_size(old: list[str], new: list[str]) -> str:
