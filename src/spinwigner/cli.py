@@ -480,8 +480,7 @@ def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
     """Evaluate the spherical function on an angular grid and write it out."""
 
     def evaluate(density, theta, phi, notes):
-        # the fiber average has no cross-shell terms, so the analytic route takes it
-        if method != "numeric":
+        if method != "numeric":  # the fiber average has no cross-shell terms
             analytic = ws_analytic(LmDensity.from_density(density), theta, phi)
         if method != "analytic":  # in chunks, since the radial nodes multiply the points
             numeric = np.concatenate([ws_numeric_many(density, theta[i:i + _CHUNK],

@@ -2,27 +2,26 @@
 
 The spherical function is pi/4 times the radial integral of the reduced
 function along each direction, taken with weight r dr. That weight makes
-the sphere integral of the result equal the trace of the represented part
-of the state, so normalized fully-represented states integrate to 1.
+its sphere integral the phase-space integral of the state's function, the
+trace of the represented part, which ``sphere_normalization`` takes in
+four dimensions with the Moyal kernel.
 
-Two evaluation routes are provided. The numeric route uses Gauss-Laguerre
-quadrature, exact here because every reduced function is exp(-r) times a
-polynomial. The analytic route takes, per angular-momentum shell, the
-closed form of each diagonal element at the pole and rotates it to each
-direction. At the pole the paper's radial factor
+Two evaluation routes are provided. The numeric route integrates
+``reduced_wigner_many``, the closed form of the same-total blocks, by
+Gauss-Laguerre quadrature, exact because every reduced function is exp(-r)
+times a polynomial. The analytic route takes, per angular-momentum shell,
+the closed form of each diagonal element at the pole and rotates it to
+each direction; both agree on ``fiber_average(d)`` for every operator d.
+At the pole the paper's radial factor
 
     I(i, j, alpha; c) = integral_0^inf exp(-r) r^(1+alpha)
         L_j^alpha((1+c) r) L_i^alpha((1-c) r) dr
 
 has c = 1, where it is the integer (-1)^a (2a + 1) for i = 2l - a, j = a,
 alpha = 0, so the route calls no radial integral. ``radial_integral_I``
-stays as the paper's general closed form for any c, summed exactly from
-terminating Gauss series without quadrature; the tests check that pole
-identity and the per-term closed-form sum against it. Coherences between
-different shells have no closed form here and are refused by the analytic
-route. The numeric route integrates ``reduced_wigner_many``, the closed
-form of the same-total blocks alone, so both routes agree on
-``fiber_average(d)`` for every operator d.
+stays as the paper's closed form for any c, summed exactly; the tests check
+the pole identity against it. Coherences between different shells have no
+closed form here and are refused by the analytic route.
 
 Both routes take angle arrays that broadcast together (0-d scalars
 included) and refuse a NaN or inf angle by name. Any finite (theta, phi)
@@ -39,9 +38,9 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .omega_map import OscillatorDensity, fock_states
-from .moyal import _finite
+from .moyal import _finite, wigner_complex_many
 from .spin_core import _readonly
-from .reduced_space import reduced_wigner_many
+from .reduced_space import fiber_average, reduced_wigner_many
 
 _IMAG_TOL = 1e-10
 _LM_CUT = 1e-13
@@ -50,9 +49,7 @@ _LM_CUT = 1e-13
 @lru_cache(maxsize=32)
 def _gauss_laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.laguerre.laggauss(nodes)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return _readonly(x), _readonly(w * np.exp(x))  # weights of integral_0^inf f(r) dr
 
 
 def ws_numeric_many(density: OscillatorDensity, theta, phi) -> np.ndarray:
@@ -69,12 +66,9 @@ def ws_numeric_many(density: OscillatorDensity, theta, phi) -> np.ndarray:
     theta, phi = np.broadcast_arrays(*_finite(theta=theta, phi=phi))
     r, w = _gauss_laguerre((density.n + 3) // 2)
     st = np.sin(theta)[..., None]
-    nx = st * np.cos(phi)[..., None]
-    ny = st * np.sin(phi)[..., None]
-    nz = np.cos(theta)[..., None]
-    vals = reduced_wigner_many(density, r * nx, r * ny, r * nz)
-    radial = w * np.exp(r) * r
-    return (math.pi / 4.0) * np.sum(vals * radial, axis=-1)
+    vals = reduced_wigner_many(density, r * (st * np.cos(phi)[..., None]),
+                               r * (st * np.sin(phi)[..., None]), r * np.cos(theta)[..., None])
+    return (math.pi / 4.0) * np.sum(vals * (w * r), axis=-1)
 
 
 def radial_integral_I(i: int, j: int, alpha: int, c: float) -> float:
@@ -218,21 +212,28 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
 
 
 def sphere_normalization(density: OscillatorDensity) -> float:
-    """Integral of the spherical function over the sphere.
+    """Integral of the spherical function over the sphere, checked in phase space.
 
     Along each ray the reduced function is exp(-r) times a polynomial of
-    degree at most n in r, so its radial integral with weight r dr is a
-    polynomial of degree at most n in the direction cosines. Gauss-Legendre
-    with n//2 + 1 nodes in cos(theta), crossed with n + 1 uniform azimuths
-    (at least 2 of each), integrates such a polynomial exactly, and that is
-    the rule used. Equals the represented trace, which the fiber average
-    keeps, so 1 for normalized pure states inside the represented subspace.
+    degree <= n in r, so the radial integral with weight r dr is a polynomial
+    of degree <= n in the direction cosines: n//2 + 1 Gauss-Legendre nodes in
+    cos(theta) times n + 1 uniform azimuths (at least 2 of each) are exact.
+    That weight makes the result the phase-space integral of the fiber
+    average, which the Moyal sum gives apart from the closed form; a gap
+    above 1e-10 is a NumericError. Both equal the represented trace.
     """
     n_theta, n_phi = max(2, density.n // 2 + 1), max(2, density.n + 1)
     cos_nodes, cos_weights = np.polynomial.legendre.leggauss(n_theta)
-    thetas = np.arccos(cos_nodes)
-    phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    grid_theta = np.repeat(thetas, n_phi)
-    grid_phi = np.tile(phis, n_theta)
-    vals = ws_numeric_many(density, grid_theta, grid_phi).reshape(n_theta, n_phi)
-    return float(np.sum(vals.sum(axis=1) * cos_weights) * (2.0 * math.pi / n_phi))
+    azimuths = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    vals = ws_numeric_many(density, np.arccos(cos_nodes)[:, None], azimuths)
+    total = float(np.sum(vals.sum(axis=1) * cos_weights) * (2.0 * math.pi / n_phi))
+    # exact: an element varies as exp(i a (alpha1 - alpha2)), a <= n, times a polynomial of degree
+    # <= n in each rho_j = |q_j + i p_j|^2 and exp(-rho_j); d^4q = drho1 drho2 dalpha1 dalpha2 / 4
+    rho, w = _gauss_laguerre(n_theta)
+    z = np.sqrt(rho)[:, None, None] * np.exp(1j * azimuths)
+    vals = wigner_complex_many(fiber_average(density), z.real, z.imag, np.sqrt(rho)[:, None], 0.0)
+    phase_space = float(math.pi**2 / n_phi * np.einsum("i,l,ilj->", w, w, vals.real))
+    if abs(total - phase_space) > 1e-10 * max(1.0, abs(phase_space)):
+        raise NumericError(f"sphere integral {total!r} differs from the phase-space "
+                           f"integral {phase_space!r} of the Moyal sum")
+    return total

@@ -12,10 +12,11 @@ import spinwigner as sw
 from spinwigner.moyal import _BLOCK, wigner_complex_many
 from spinwigner.omega_map import OscillatorDensity
 
-from helpers import (basis_vector, fock_index, hopf_forward_arrays, hopf_section_arrays,
-                     nonreducible_two_spin_operator, omega, oracle_wigner_integral, push_pure,
-                     reference_moyal_1d, reference_wigner_complex_many, singlet_vector,
-                     state_families, wigner_4d_many)
+from helpers import (basis_vector, dense_ladder, fock_index, hopf_forward_arrays,
+                     hopf_section_arrays, nonreducible_two_spin_operator, omega,
+                     oracle_wigner_integral, push_pure, reference_moyal_1d,
+                     reference_wigner_complex_many, singlet_vector, state_families,
+                     wigner_4d_many)
 
 
 def test_laguerre_hand_values():
@@ -123,15 +124,18 @@ def test_wigner_zero_density():
 
 
 def test_wigner_rejects_non_hermitian():
-    d = sw.push_operator(omega(2), nonreducible_two_spin_operator())
-    with pytest.raises(sw.NumericError):
-        wigner_4d_many(d, 0.4, -0.8, 1.1, 0.25)
+    # 1 + S_+ at two spins keeps its total, so its reduced function is complex
+    d = sw.push_operator(omega(2), np.eye(4) + dense_ladder(2, True))
+    with pytest.raises(sw.NumericError, match="not Hermitian"):
+        sw.reduced_wigner_many(d, 0.4, -0.8, 1.1)
+    with pytest.raises(sw.NumericError, match="not Hermitian"):
+        sw.sphere_normalization(d)
 
 
 def test_phase_point_validation():
     d = push_pure(1, basis_vector(1, 1))
     with pytest.raises(sw.ValidationError, match="p1 = inf is not finite"):
-        wigner_4d_many(d, 0.0, math.inf, 0.0, 0.0)
+        wigner_complex_many(d, 0.0, math.inf, 0.0, 0.0)
     with pytest.raises(sw.ValidationError, match="x1 = nan is not finite"):
         sw.reduced_wigner_many(d, math.nan, 0.0, 0.0)
 
@@ -141,13 +145,10 @@ def test_array_api_refuses_non_finite_coordinates(bad):
     d = push_pure(2, singlet_vector())
     evaluators = {
         "wigner_complex_many": (lambda *c: wigner_complex_many(d, *c), ("q1", "p1", "q2", "p2")),
-        "wigner_4d_many": (lambda *c: wigner_4d_many(d, *c), ("q1", "p1", "q2", "p2")),
         "reduced_wigner_many": (lambda *c: sw.reduced_wigner_many(d, *c), ("x1", "x2", "x3")),
         "ws_numeric_many": (lambda *c: sw.ws_numeric_many(d, *c), ("theta", "phi")),
         "ws_analytic": (lambda *c: sw.ws_analytic(sw.LmDensity.from_density(d), *c),
                         ("theta", "phi")),
-        "hopf_forward_arrays": (hopf_forward_arrays, ("q1", "p1", "q2", "p2")),
-        "hopf_section_arrays": (hopf_section_arrays, ("x1", "x2", "x3")),
     }
     for evaluate, args in evaluators.values():
         for k, arg in enumerate(args):

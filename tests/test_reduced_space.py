@@ -242,7 +242,19 @@ def test_three_variable_values_call_no_four_dimensional_kernel(monkeypatch):
     d = _random_non_commuting(3, 7)
     sw.reduced_wigner_many(d, 0.3, -0.2, 0.9)
     sw.ws_numeric_many(d, 0.4, 1.0)
-    sw.sphere_normalization(d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_normalization_checks_the_closed_form_against_the_moyal_sum(n, monkeypatch):
+    # the sphere integral of the closed form is checked against the phase-space
+    # integral of the Moyal sum: a closed form off by 1e-7 is refused
+    d = _random_non_commuting(n, 90 + n)
+    assert abs(sw.sphere_normalization(d) - d.represented_trace) <= 1e-12
+    numeric = sw.ws_numeric_many
+    monkeypatch.setattr("spinwigner.sphere.ws_numeric_many",
+                        lambda *args: numeric(*args) * (1.0 + 1e-7))
+    with pytest.raises(sw.NumericError, match="differs from the phase-space integral"):
+        sw.sphere_normalization(d)
 
 
 def test_closed_form_is_exact_for_a_coherent_state_at_forty_spins():
