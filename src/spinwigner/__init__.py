@@ -3,15 +3,15 @@
 The pipeline: build the represented tower of each angular-momentum shell
 with collective spin operators applied by bit flips (``spin_core``), embed
 the spin space into a truncated two-mode Fock space (``omega_map``),
-evaluate the four-dimensional Wigner function through oscillator Moyal
+evaluate the four-dimensional Wigner function as a sum of oscillator Moyal
 functions (``moyal``), reduce it to three variables through the Hopf
 contraction (``reduced_space``), and integrate radially onto the sphere
-(``sphere``). ``states`` builds the
-standard state families and ``cli`` exposes grid evaluation as a command
-line tool.
+(``sphere``); ``moyal`` holds the one kernel of both Moyal sums.
+``states`` builds the standard state families and ``cli`` exposes grid
+evaluation as a command line tool.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (

@@ -1,4 +1,4 @@
-"""Oscillator Moyal functions and the four-dimensional Wigner sum.
+"""Oscillator Moyal functions and the one kernel of the Moyal sum.
 
 The one-mode Moyal function W_{n n'}(q, p) used here is the phase-space
 transform of |n'><n| for oscillator eigenstates, in natural units. It has
@@ -8,30 +8,36 @@ two branches; for n <= n' it reads
         * exp(-(q^2 + p^2)) * L_n^(n'-n)(2 (q^2 + p^2))
 
 and the opposite ordering is fixed by hermiticity, W_{n n'} = conj W_{n' n}.
-The four-dimensional function of a pushed operator is the double sum of
-matrix elements times products of one-mode Moyal functions, one per mode.
-``wigner_complex_many`` evaluates it, kept complex, on coordinate arrays
-(0-d scalars included) that broadcast together; a NaN or inf coordinate is
-refused with a ValidationError naming it.
-
 Factorial ratios are taken in log space and the complex monomial is built
 by repeated multiplication, which keeps the axes exactly real/imaginary.
 
-The sum runs over blocks of points. Each mode's orders and degrees are
-grouped once per call; per block, one walk over the orders forms each needed
-entry from one exp(-rho), the powers of q - ip and one Laguerre recurrence
-per order, and its mirror row is the conjugate. Pairs add up in
-``np.nonzero`` order as out-of-place products with no scratch rows, the same
-operations as a per-pair sum over all points, so values are bit-identical
-whatever the block size. The two modes' tables hold 2 (n + 1)^2 complex
-entries per point of a block, so a block has at most ``_BLOCK`` points and
-at most as many as keep the tables within ``_TABLE_BYTES``: every n <= 12
-uses full blocks, and memory stays bounded at any point count and any n.
+The four-dimensional function of a pushed operator is the double sum of
+matrix elements times one-mode Moyal functions, one per mode. With rows as
+bras, the element e on bra (b1, b2) and ket (k1, k2) has orders
+d_j = b_j - k_j and degrees m_j = min(b_j, k_j), and adds
+
+    e p(m1, |d1|) p(m2, |d2|) zbar1^d1 zbar2^d2 D L_m1^|d1|(u1) L_m2^|d2|(u2),
+
+with p the prefactor above and zbar^d = conj(zbar)^|d| for d < 0. Per
+point, ``wigner_complex_many`` takes the Laguerre arguments u_j = 2 rho_j,
+the phases zbar_j = q_j - i p_j and D = exp(-rho1 - rho2), where
+rho_j = q_j^2 + p_j^2; ``reduced_space`` evaluates the same sum on the
+same-total blocks from x. Both take coordinate arrays (0-d scalars
+included) that broadcast together; a NaN or inf coordinate is refused with
+a ValidationError naming it.
+
+``_order_groups`` collects the elements by order pair once per call, and
+``_order_sum`` evaluates them per block of points with one Laguerre table
+per mode and one real ``einsum`` per order pair: numpy's own loop, not
+BLAS. A value does not depend on the other points of its call, bit for
+bit. A block has at most ``_BLOCK`` points, and its scratch stays within
+``_TABLE_BYTES`` at any n, so every n <= 12 uses full blocks.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,7 +46,7 @@ from .omega_map import OscillatorDensity, fock_states
 
 _LN2 = math.log(2.0)
 _BLOCK = 4096  # most points per kernel block; see the module docstring
-_TABLE_BYTES = 2 * 13**2 * _BLOCK * 16  # both modes' tables at n = 12 (22 MB)
+_TABLE_BYTES = 2 * 13**2 * _BLOCK * 16  # scratch budget of one block (22 MB)
 
 
 def _finite(**coords) -> list[np.ndarray]:
@@ -55,16 +61,6 @@ def _finite(**coords) -> list[np.ndarray]:
     return out
 
 
-def _laguerre_rows(degree: int, order, x):
-    """Yield L_0^order(x), ..., L_degree^order(x) by the upward recurrence;
-    ``order`` may be an array of orders that broadcasts against x."""
-    prev, cur = np.zeros_like(x), np.ones_like(x)  # L_{-1} = 0: step 1 is 1 + order - x
-    yield cur
-    for k in range(1, degree + 1):
-        prev, cur = cur, ((2.0 * k - 1.0 + order - x) * cur - (k - 1.0 + order) * prev) / k
-        yield cur
-
-
 def laguerre(degree: int, order: int | float, x):
     """Generalized Laguerre polynomial by the three-term recurrence in degree.
 
@@ -73,8 +69,10 @@ def laguerre(degree: int, order: int | float, x):
     """
     if degree < 0:
         raise ValidationError(f"degree must be >= 0, got {degree}")
-    for cur in _laguerre_rows(degree, order, np.asarray(x, dtype=float)):
-        pass
+    x = np.asarray(x, dtype=float)
+    prev, cur = np.zeros_like(x), np.ones_like(x)  # L_{-1} = 0: step 1 is 1 + order - x
+    for k in range(1, degree + 1):
+        prev, cur = cur, ((2.0 * k - 1.0 + order - x) * cur - (k - 1.0 + order) * prev) / k
     return cur if cur.ndim else float(cur)
 
 
@@ -84,39 +82,110 @@ def _moyal_prefactor(n: int, d: int) -> float:
         0.5 * (d * _LN2 + math.lgamma(n + 1) - math.lgamma(n + d + 1)))
 
 
-def _moyal_entries(need, q, p):
-    """Yield (n, d, W_{n, n+d}(q, p)) for each order d and degree n in need[d].
-
-    Each entry is ((pref * zbar^d) * exp(-rho)) * L_n^d(2 rho); one Laguerre
-    recurrence per order runs up to its largest needed degree. Where
-    exp(-rho) underflows to 0, q, p and rho are taken as 0, so a huge finite
-    coordinate gives a zero entry instead of inf * 0.
-    """
-    with np.errstate(over="ignore"):
-        rho = q * q + p * p
-    damp = np.exp(-rho)
-    far = damp == 0.0
-    if np.any(far):  # the entry is 0 there; zero the inputs so nothing overflows
-        q, p, rho = (np.where(far, 0.0, a) for a in (q, p, rho))
-    damp = damp.astype(complex)
-    zbar = q - 1j * p
-    mono = np.ones_like(q, dtype=complex)
-    for d in range(max(need, default=-1) + 1):
-        degrees = need.get(d, ())
-        for n, lag in enumerate(_laguerre_rows(max(degrees, default=0), d, 2.0 * rho)):
-            if n in degrees:
-                yield n, d, _moyal_prefactor(n, d) * mono * damp * lag
-        mono = mono * zbar
-
-
 def moyal_1d(n: int, n_prime: int, q, p):
     """One-mode Moyal function W_{n n'}(q, p); scalar or elementwise on arrays."""
     if n < 0 or n_prime < 0:
         raise ValidationError("Moyal indices must be >= 0")
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
-    ((_, _, entry),) = _moyal_entries({abs(n_prime - n): {min(n, n_prime)}}, q, p)
+    d, m = abs(n_prime - n), min(n, n_prime)
+    with np.errstate(over="ignore"):
+        rho = q * q + p * p
+    damp = np.exp(-rho)
+    q, p, rho = (np.where(damp == 0.0, 0.0, c) for c in (q, p, rho))  # 0 there, not inf * 0
+    zbar = q - 1j * p
+    mono = np.ones_like(q, dtype=complex)
+    for _ in range(d):
+        mono = mono * zbar
+    entry = _moyal_prefactor(m, d) * mono * damp * laguerre(m, d, 2.0 * rho)
     entry = np.conjugate(entry) if n > n_prime else entry
     return entry if q.ndim else complex(entry)
+
+
+def _order_groups(density: OscillatorDensity, same_total: bool = False) -> dict:
+    """The non-zero elements as {(d1, d2): (rows1, rows2, coefficients)}.
+
+    An element and its transpose share one column, under the order pair
+    with d1 > 0, or with d1 = 0 and d2 >= 0, in the order of the keyed
+    element's (bra, ket); rows_j holds the column's row of L_mj^|dj| in
+    ``_laguerre_table``. With c = e p(m1, |d1|) p(m2, |d2|) of the keyed
+    element and c' that of its transpose (0 on the diagonal), the column is
+    (Re c + Re c', Im c - Im c', Im c + Im c', Re c - Re c'), so that
+    c zeta + c' conj(zeta) = (r1 x - r2 y) + i (r3 x + r4 y), zeta = x + i y.
+    ``same_total`` keeps the d1 + d2 = 0 elements: the blocks of ``fiber_average``.
+    """
+    e, n, states = density.elements, density.n, np.array(fock_states(density.n)).reshape(-1, 2)
+    bra, ket = np.nonzero((e != 0) | (e.T != 0))
+    d = states[bra] - states[ket]
+    key = d @ [2 * n + 1, 1]  # (d1, d2) as one integer, in the same order
+    keep = key >= 0  # the keyed element: d1 > 0, or d1 = 0 and d2 >= 0
+    if same_total:
+        keep &= d.sum(axis=1) == 0
+    order = np.flatnonzero(keep)[np.argsort(key[keep], kind="stable")]  # (bra, ket) within a key
+    bra, ket, d, key = bra[order], ket[order], d[order], key[order]
+    m, a = np.minimum(states[bra], states[ket]), np.abs(d)
+    pref = np.array([[_moyal_prefactor(k, j) for j in range(n + 1)] for k in range(n + 1)])
+    scale = pref[m[:, 0], a[:, 0]] * pref[m[:, 1], a[:, 1]]
+    c, ct = e[bra, ket] * scale, np.where(bra == ket, 0.0, e[ket, bra] * scale)
+    coef = np.stack([c.real + ct.real, c.imag - ct.imag, c.imag + ct.imag, c.real - ct.real])
+    rows = m * (2 * n + 3 - m) // 2 + a
+    return {tuple(d[i[0]].tolist()): (rows[i, 0], rows[i, 1], coef[:, i])
+            for i in np.split(np.arange(key.size), np.flatnonzero(np.diff(key)) + 1) if i.size}
+
+
+def _laguerre_table(n: int, x: np.ndarray) -> np.ndarray:
+    """L_k^a(x) at row first[k] + a = k (2n + 3 - k) / 2 + a for a + k <= n, by one
+    recurrence in the degree k for all orders a at once, each up to degree n - a."""
+    first = [k * (2 * n + 3 - k) // 2 for k in range(n + 2)]
+    table = np.empty((first[-1], x.size))
+    orders = np.arange(n + 1.0)[:, None]
+    table[:n + 1] = 1.0
+    for k in range(1, n + 1):
+        top = n + 1 - k
+        cur, last = table[first[k]:first[k] + top], table[first[k - 1]:first[k - 1] + top]
+        np.subtract(2.0 * k - 1.0 + orders[:top], x, out=cur)
+        cur *= last
+        if k > 1:
+            cur -= (k - 1.0 + orders[:top]) * table[first[k - 2]:first[k - 2] + top]
+        cur /= k
+    return table
+
+
+def _order_sum(groups: dict, n: int, prepare, *coords):
+    """Yield (slice, complex values) for each block of the flat points.
+
+    ``prepare`` maps a block's coordinates to each mode's Laguerre argument
+    and phase zbar_j (a phase may be a scalar) and the damping factor. Per
+    order pair (d1, d2), one ``einsum`` sums the columns' gathered products
+    of Laguerre rows, which then take the phase zbar1^d1 zbar2^d2.
+    """
+    widest = max((r1.size for r1, _, _ in groups.values()), default=0)
+    # bytes per point: two tables, phase powers, a recurrence row, gathered rows, block arrays
+    per_point = 8 * (n + 1) * (n + 2) + 40 * (n + 1) + 24 * widest + 256
+    block = max(2, min(_BLOCK, _TABLE_BYTES // per_point))
+    for start in range(0, coords[0].size, block):
+        pts = [c.flat[start:start + block] for c in coords]
+        count = pts[0].size
+        if count == 1:  # einsum sums a lone point's columns in another order
+            pts = [np.repeat(c, 2) for c in pts]
+        args, phases, damp = prepare(*pts)
+        # where the damping underflows the value is 0: zero the inputs so nothing overflows
+        u1, u2, z1, z2 = (np.where(damp == 0.0, 0.0, v) for v in (*args, *phases))
+        table1, table2 = _laguerre_table(n, u1), _laguerre_table(n, u2)
+        pow1, pow2 = (list(accumulate([z] * n, np.multiply, initial=1.0)) for z in (z1, z2))
+        re, im = np.zeros((2, damp.size))
+        for (d1, d2), (r1, r2, coef) in groups.items():
+            a, b, c, d = np.einsum("ke,ep->kp", coef, table1[r1] * table2[r2])
+            phase = pow1[d1] * (pow2[d2] if d2 >= 0 else np.conj(pow2[-d2]))
+            re += a * phase.real - b * phase.imag
+            im += c * phase.real + d * phase.imag
+        del table1, table2, pow1, pow2  # free this block's tables before the next one's
+        yield slice(start, start + count), ((re + 1j * im) * damp)[:count]
+
+
+def _phase_space_inputs(q1, p1, q2, p2):  # see the module docstring
+    with np.errstate(over="ignore"):
+        rho1, rho2 = q1 * q1 + p1 * p1, q2 * q2 + p2 * p2
+    return (2.0 * rho1, 2.0 * rho2), (q1 - 1j * p1, q2 - 1j * p2), np.exp(-(rho1 + rho2))
 
 
 def wigner_complex_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarray:
@@ -126,31 +195,8 @@ def wigner_complex_many(density: OscillatorDensity, q1, p1, q2, p2) -> np.ndarra
     pushed operators legitimately produce complex values.
     """
     q1, p1, q2, p2 = np.broadcast_arrays(*_finite(q1=q1, p1=p1, q2=q2, p2=p2))
-    width = density.n + 1
-    states = np.array(fock_states(density.n))
-    rows, cols = np.nonzero(density.elements)
-    # mode -> pair -> ket * width + bra, the pair's row in that mode's table
-    codes = (states[cols] * width + states[rows]).T.tolist()
-    pairs = list(zip(density.elements[rows, cols], *codes))
-    needs = [{}, {}]  # mode -> order d -> degrees n of the entries W_{n, n+d} it reads
-    for mode, need in zip(codes, needs):
-        for n, n_prime in (divmod(c, width) for c in set(mode)):
-            need.setdefault(abs(n_prime - n), set()).add(min(n, n_prime))
-    block = max(1, min(_BLOCK, _TABLE_BYTES // (2 * width**2 * 16)))
-    tables = np.empty((2, width**2, min(q1.size, block)), dtype=complex)
-    out = np.zeros(q1.size, dtype=complex)
-    for start in range(0, q1.size, block):
-        s = slice(start, start + block)
-        total = out[s]
-        table1, table2 = tables[:, :, :total.size]
-        for need, q, p, table in zip(needs, (q1, q2), (p1, p2), (table1, table2)):
-            # a 0-d point keeps numpy's scalar arithmetic, as the per-pair sum had it
-            for n, d, entry in _moyal_entries(need, q.flat[s] if q.ndim else q,
-                                              p.flat[s] if p.ndim else p):
-                table[n * width + n + d] = entry
-                if d:
-                    table[(n + d) * width + n] = np.conjugate(entry)
-        for e, i, j in pairs:  # products out of place, as the per-pair sum formed them
-            total += e * table1[i] * table2[j]
+    out = np.empty(q1.size, dtype=complex)
+    for s, vals in _order_sum(_order_groups(density), density.n, _phase_space_inputs,
+                              q1, p1, q2, p2):
+        out[s] = vals
     return out.reshape(q1.shape)
-

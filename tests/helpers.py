@@ -181,6 +181,19 @@ def state_families(n: int) -> dict[str, sw.SpinMixture]:
     }
 
 
+def dicke_coherent_density(n: int) -> sw.OscillatorDensity:
+    """The pushed coherent state along theta = 0.7, phi = 0.8, built by hand:
+    amplitudes sqrt(C(n,k)) cos^k(0.35) (e^{0.8i} sin 0.35)^(n-k) on Fock
+    rows (k, n - k)."""
+    cs, sn = math.cos(0.35), math.sin(0.35)
+    amp = np.array([math.sqrt(math.comb(n, k)) * cs**k * sn ** (n - k)
+                    * complex(math.cos(0.8), math.sin(0.8)) ** (n - k) for k in range(n + 1)])
+    e = np.zeros((len(sw.fock_states(n)),) * 2, dtype=complex)
+    lo = n * (n + 1) // 2
+    e[lo:, lo:] = np.outer(amp, amp.conj())
+    return sw.OscillatorDensity.from_fock_elements(n, e)
+
+
 def basis_vector(n: int, index: int) -> np.ndarray:
     v = np.zeros(2**n, dtype=complex)
     v[index] = 1.0

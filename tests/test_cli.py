@@ -226,7 +226,7 @@ def test_sphere_command_squeezed_runs(tmp_path):
     assert rows.shape[0] == 9 * 16
 
 
-def test_sphere_command_operator_falls_back(tmp_path, capsys):
+def test_sphere_command_analytic_route_on_a_non_commuting_fiber_average(tmp_path, capsys):
     state = _state_file(tmp_path, NONREDUCIBLE_OPERATOR)
     out = str(tmp_path / "sph.csv")
     code = main(["sphere", "--state", state, "--grid",
@@ -235,8 +235,11 @@ def test_sphere_command_operator_falls_back(tmp_path, capsys):
     assert code == 0
     report = capsys.readouterr().out
     assert "commutes_with_s2=false" in report
-    assert "note=" in report
-    _, columns, rows = _read_table(out)
+    notes = [line for line in report.splitlines() if line.startswith("note=")]
+    assert any(note.startswith("note=fiber average: operator does not commute with total "
+                               "spin squared (residual ") for note in notes)
+    header, columns, rows = _read_table(out)
+    assert "# reduction: fiber average" in header
     assert columns == ["theta", "phi", "value"]
     assert np.all(np.isfinite(rows))
 
@@ -454,6 +457,12 @@ def _operator_text(n, seed):
         "row " + " ".join(f"{v.real!r},{v.imag!r}" for v in row.tolist()) + "\n" for row in rows)
 
 
+def _raw_text(n, seed):
+    amps = np.random.default_rng(seed).normal(size=(2**n, 2))
+    amps /= np.linalg.norm(amps)
+    return f"kind raw\nspins {n}\n" + "".join(f"amp {re!r} {im!r}\n" for re, im in amps.tolist())
+
+
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # each command in a fresh process, as it runs from the shell, since
     # OpenBLAS reads its thread count when numpy loads
@@ -468,6 +477,9 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         "sphere-12": ("kind coherent\nspins 12\ntheta 1.1\nphi 0.4\n",
                       ["--grid", "theta:0:3.141592653589793:31,phi:0:6.283185307179586:61",
                        "--method", "numeric"]),
+        # 12 spins with every order pair present: the largest groups of the 4-D kernel
+        "plane4d-12": (_raw_text(12, 12), ["--grid", "q1:-2:2:21,p2:-2:2:21",
+                                           "--fix", "q2=0.3,p1=-0.2"]),
     }
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = {}

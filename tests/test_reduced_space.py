@@ -11,8 +11,8 @@ from scipy.special import eval_genlaguerre
 import spinwigner as sw
 from spinwigner.omega_map import OscillatorDensity
 
-from helpers import (basis_vector, hopf_forward_arrays, hopf_section_arrays,
-                     nonreducible_two_spin_operator, omega, push_pure,
+from helpers import (basis_vector, dicke_coherent_density, hopf_forward_arrays,
+                     hopf_section_arrays, nonreducible_two_spin_operator, omega, push_pure,
                      reference_reduced_wigner_many, singlet_vector, state_families,
                      wigner_4d_many)
 
@@ -258,20 +258,13 @@ def test_normalization_checks_the_closed_form_against_the_moyal_sum(n, monkeypat
 
 
 def test_closed_form_is_exact_for_a_coherent_state_at_forty_spins():
-    # Dicke amplitudes sqrt(C(n,k)) cos^k(t/2) (e^{i p} sin(t/2))^(n-k) on Fock
-    # rows (k, n - k): the coherent state along u = (sin t cos p, sin t sin p,
-    # cos t), t = 0.7, p = 0.8, whose functions are (-1)^n e^-r / pi^2 L_n(r + u.x)
-    # and (-1)^n / 4 pi sum_k (-1)^k C(n,k) (k + 1) (1 + u.n)^k. Both sums are
+    # the coherent state along u = (sin t cos p, sin t sin p, cos t), t = 0.7,
+    # p = 0.8, whose functions are (-1)^n e^-r / pi^2 L_n(r + u.x) and
+    # (-1)^n / 4 pi sum_k (-1)^k C(n,k) (k + 1) (1 + u.n)^k. Both sums are
     # taken exactly in rationals at the float inputs; r is exact at these points.
     n = 40
-    cs, sn, cp, sp = math.cos(0.35), math.sin(0.35), math.cos(0.8), math.sin(0.8)
-    amp = np.array([math.sqrt(math.comb(n, k)) * cs**k * sn ** (n - k) * complex(cp, sp) ** (n - k)
-                    for k in range(n + 1)])
-    e = np.zeros((len(sw.fock_states(n)),) * 2, dtype=complex)
-    lo = n * (n + 1) // 2
-    e[lo:, lo:] = np.outer(amp, amp.conj())
-    d = OscillatorDensity.from_fock_elements(n, e)
-    cs, sn, cp, sp = map(Fraction, (cs, sn, cp, sp))
+    d = dicke_coherent_density(n)
+    cs, sn, cp, sp = map(Fraction, (math.cos(0.35), math.sin(0.35), math.cos(0.8), math.sin(0.8)))
     u = (2 * cs * sn * cp, 2 * cs * sn * sp, cs * cs - sn * sn)
 
     def dot(v):

@@ -11,9 +11,10 @@ version each tree declares, and stdout apart from its ``timing_ms`` line.
 A CSV that does not start with its tree's version line is compared whole.
 It names each difference on stderr and sizes it: for a CSV, how many data
 lines differ, the largest absolute gap between their parsed values, and for
-each column that moves, its largest gap relative to the column's largest
-|value| (a column of pure roundoff moves on many lines by a tiny share of
-its size); for stdout, the ``key=`` of the first line that differs. It prints one summary
+each column that moves, its largest gap relative to the largest |value| of
+the file's value columns (all but the grid axes), so a column of pure
+roundoff reads as the roundoff it is; for stdout, the ``key=`` of the first
+line that differs. It prints one summary
 line, which names the two versions when they differ, and exits 1 when
 anything differs. Of this repository it only reads ``perfbench/``.
 """
@@ -33,6 +34,7 @@ import numpy as np
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 SHIM = os.path.join(PERFBENCH, "shim.py")
 SEEDS = (7, 8675309)
+AXES = {"x1", "x2", "x3", "theta", "phi", "q1", "p1", "q2", "p2"}  # grid axis columns
 
 sys.path.insert(0, PERFBENCH)
 import jobs  # noqa: E402
@@ -74,10 +76,10 @@ def after_version_line(result, ver: str):
 def csv_size(old: bytes | None, new: bytes | None) -> str:
     """How many data lines of two CSVs differ, the largest absolute gap
     between the values of the lines both have (NaN when they do not parse
-    alike), and per column that moves, that column's largest gap over its
-    largest |value| in either file. Lines after ``#`` comments and the
-    column header are data lines; a line that only one file has counts as
-    differing."""
+    alike), and per column that moves, that column's largest gap over the
+    largest |value| of any value column in either file. Lines after ``#``
+    comments and the column header are data lines; a line that only one
+    file has counts as differing."""
     if old is None or new is None:
         return "csv written by one side only"
     rows = [[line for line in csv.decode("utf-8").splitlines() if not line.startswith("#")]
@@ -95,10 +97,13 @@ def csv_size(old: bytes | None, new: bytes | None) -> str:
         gaps = np.max(np.abs(values[0] - values[1]), axis=0, initial=0.0)
     except ValueError:
         return f"{size}, largest gap nan{header}"
+    names = rows[0][0].split(",")
     peaks = np.max(np.abs(np.concatenate(values)), axis=0, initial=0.0)
-    moved = ", ".join(f"{name} {gap / peak if peak else math.inf:.1e}" for name, gap, peak
-                      in zip(rows[0][0].split(","), gaps.tolist(), peaks.tolist()) if gap)
-    relative = f"; gap / column max |value|: {moved}" if moved else ""
+    scale = max((peak for name, peak in zip(names, peaks.tolist()) if name not in AXES),
+                default=0.0)
+    moved = ", ".join(f"{name} {gap / scale if scale else math.inf:.1e}"
+                      for name, gap in zip(names, gaps.tolist()) if gap)
+    relative = f"; gap / file max |value|: {moved}" if moved else ""
     return f"{size}, largest gap {np.max(gaps, initial=0.0):.1e}{relative}{header}"
 
 
