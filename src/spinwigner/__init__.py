@@ -11,7 +11,7 @@ contraction (``reduced_space``), and integrate radially onto the sphere
 evaluation as a command line tool.
 """
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (

@@ -421,21 +421,20 @@ def _write_grid(path: str, header: list[str], grid: GridSpec, names: list[str],
             fh.write(rows.tobytes().translate(None, b"\0"))
 
 
-def _maybe_normalization(density: OscillatorDensity, notes: list[str]) -> float:
-    """Sphere integral of the fiber average, or NaN with a note saying why not."""
-    density = fiber_average(density)
-    e = density.elements
+def _maybe_normalization(average: OscillatorDensity, notes: list[str]) -> float:
+    """Sphere integral of a fiber average, or NaN with a note saying why not."""
+    e = average.elements
     skew = float(np.max(np.abs(e - e.conj().T), initial=0.0))
     if skew > 1e-10 * max(1.0, float(np.max(np.abs(e), initial=0.0))):
         # the spherical function of a non-Hermitian operator is complex
         notes.append(f"normalization skipped: operator is not Hermitian "
                      f"(max |E - E^H| = {skew:.3e})")
         return math.nan
-    if density.represented_trace <= 1e-9:
+    if average.represented_trace <= 1e-9:
         notes.append(f"normalization skipped: represented trace "
-                     f"{density.represented_trace:.3e} is not above 1e-9")
+                     f"{average.represented_trace:.3e} is not above 1e-9")
         return math.nan
-    return sphere_normalization(density)
+    return sphere_normalization(average)
 
 
 def _evaluate_grid(spec: StateSpec, grid: GridSpec, out_path: str, evaluate,
@@ -444,12 +443,13 @@ def _evaluate_grid(spec: StateSpec, grid: GridSpec, out_path: str, evaluate,
 
     ``evaluate(density, *axis_points, notes)`` gets one flat array per axis
     and returns the value column names and arrays. The three-variable grids
-    (volume, sphere) get ``fiber_average`` of the pushed operator; when the
-    operator fails the commutation test, a note and a header line say so.
+    (volume, sphere) and the normalization get ``fiber_average`` of the pushed
+    operator; when it fails the commutation test, a note and a header line say so.
     """
     started = time.perf_counter()
     pushed, _ = _push_spec(spec)
-    density = pushed if grid.kind == "plane4d" else fiber_average(pushed)
+    average = fiber_average(pushed)
+    density = pushed if grid.kind == "plane4d" else average
     mesh = np.meshgrid(*(a.points() for a in grid.axes), indexing="ij")
     notes: list[str] = []
     if grid.kind != "plane4d" and not pushed.commutes_with_s2:
@@ -458,7 +458,7 @@ def _evaluate_grid(spec: StateSpec, grid: GridSpec, out_path: str, evaluate,
                      "coherences the average drops")
         header = (*header, "reduction: fiber average")
     names, values = evaluate(density, *(g.ravel() for g in mesh), notes)
-    norm = _maybe_normalization(density, notes)
+    norm = _maybe_normalization(average, notes)
     _write_grid(out_path, [f"spinwigner {__version__}", f"state: {spec.describe()}",
                            f"grid: {grid.describe()}", *header], grid, names, values)
     elapsed = (time.perf_counter() - started) * 1000.0
@@ -519,7 +519,7 @@ def cmd_check(spec: StateSpec, tolerances: dict[str, float] | None = None,
     started = time.perf_counter()
     density, input_trace = _push_spec(spec)
     notes: list[str] = []
-    norm = _maybe_normalization(density, notes)
+    norm = _maybe_normalization(fiber_average(density), notes)
     fiber = check_fiber_invariance(density, samples)
 
     ok = density.commutes_with_s2

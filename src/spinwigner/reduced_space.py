@@ -59,7 +59,7 @@ def reduced_wigner_many(density: OscillatorDensity, x1, x2, x3) -> np.ndarray:
     The smaller of r +- x3 is formed as (x1^2 + x2^2) / (r + |x3|), so
     nothing cancels near the x3 axis; where exp(-r) underflows the point
     gives 0, also at a huge finite coordinate. An imaginary part above
-    1e-8 (a non-Hermitian average) is a NumericError.
+    1e-8 max(1, max |element|), a non-Hermitian average, is a NumericError.
     """
     x1, x2, x3 = np.broadcast_arrays(*_finite(x1=x1, x2=x2, x3=x3))
     out, worst = np.empty(x1.size), 0.0
@@ -67,8 +67,9 @@ def reduced_wigner_many(density: OscillatorDensity, x1, x2, x3) -> np.ndarray:
                               _reduced_inputs, x1, x2, x3):
         worst = max(worst, float(np.max(np.abs(vals.imag), initial=0.0)))
         out[s] = vals.real
-    if worst > _IMAG_TOL:
-        raise NumericError(f"imaginary residual {worst:.3e} exceeds {_IMAG_TOL:.0e}; "
+    tol = _IMAG_TOL * max(1.0, float(np.max(np.abs(density.elements), initial=0.0)))
+    if worst > tol:
+        raise NumericError(f"imaginary residual {worst:.3e} exceeds {tol:.0e}; "
                            "the pushed operator is not Hermitian")
     return out.reshape(x1.shape)
 

@@ -3,8 +3,8 @@
 The spherical function is pi/4 times the radial integral of the reduced
 function along each direction, taken with weight r dr. That weight makes
 its sphere integral the phase-space integral of the state's function, the
-trace of the represented part, which ``sphere_normalization`` takes in
-four dimensions with the Moyal kernel.
+trace of the represented part. Only the Fock diagonal, with no azimuth,
+survives it, so ``sphere_normalization`` takes one azimuth times 2 pi.
 
 Two evaluation routes are provided. The numeric route integrates
 ``reduced_wigner_many``, the closed form of the same-total blocks, by
@@ -40,7 +40,7 @@ from .errors import NumericError, ValidationError
 from .omega_map import OscillatorDensity, fock_states
 from .moyal import _finite, wigner_complex_many
 from .spin_core import _readonly
-from .reduced_space import fiber_average, reduced_wigner_many
+from .reduced_space import reduced_wigner_many
 
 _IMAG_TOL = 1e-10
 _LM_CUT = 1e-13
@@ -161,7 +161,8 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
     |l, m><l, m| at theta = 0. The rotation comes from one eigendecomposition
     of J2 per shell. Each distinct theta of the call forms the rotated
     diagonal once; each point then adds its azimuthal harmonics elementwise,
-    so a value does not depend on the other points of the call.
+    so a value does not depend on the other points of the call. An
+    imaginary part above 1e-10 max(1, max |rho_l|) is a NumericError.
     """
     if lm_density.cross_shell:
         labels = ", ".join(
@@ -202,10 +203,11 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
         ph = phis[points]
         harmonics = np.flatnonzero(g).tolist()
         values[points] = sum(g[k] * np.exp(1j * (k - top) * ph) for k in harmonics)
-    bad = np.flatnonzero(np.abs(values.imag) > _IMAG_TOL)
+    scale = max([1.0] + [float(np.max(np.abs(rho))) for rho in lm_density.same_shell.values()])
+    bad = np.flatnonzero(np.abs(values.imag) > _IMAG_TOL * scale)
     if bad.size:
         raise NumericError(
-            f"imaginary residual {abs(values.imag[bad[0]]):.3e} exceeds {_IMAG_TOL:.0e} "
+            f"imaginary residual {abs(values.imag[bad[0]]):.3e} exceeds {_IMAG_TOL * scale:.0e} "
             "in the closed-form spherical sum"
         )
     return values.real.reshape(theta.shape)
@@ -214,25 +216,30 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
 def sphere_normalization(density: OscillatorDensity) -> float:
     """Integral of the spherical function over the sphere, checked in phase space.
 
-    Along each ray the reduced function is exp(-r) times a polynomial of
-    degree <= n in r, so the radial integral with weight r dr is a polynomial
-    of degree <= n in the direction cosines: n//2 + 1 Gauss-Legendre nodes in
-    cos(theta) times n + 1 uniform azimuths (at least 2 of each) are exact.
-    That weight makes the result the phase-space integral of the fiber
-    average, which the Moyal sum gives apart from the closed form; a gap
-    above 1e-10 is a NumericError. Both equal the represented trace.
+    Only the Fock diagonal contributes: any other element varies as
+    exp(i a phi), a != 0, about the x3 axis (as a phase of q_j + i p_j in
+    four dimensions) and integrates to zero, while the diagonal has no
+    phase, so one azimuth times 2 pi is exact. With weight r dr the radial
+    integral is a polynomial of degree <= n in cos(theta), so n//2 + 1 (at
+    least 2) Gauss-Legendre nodes in cos(theta), or Gauss-Laguerre nodes in
+    each |q_j + i p_j|^2 for the Moyal sum, are exact. A gap above 1e-10
+    between the two integrals, or non-Hermitian same-total blocks, is a
+    NumericError. Both equal the represented trace.
     """
-    n_theta, n_phi = max(2, density.n // 2 + 1), max(2, density.n + 1)
-    cos_nodes, cos_weights = np.polynomial.legendre.leggauss(n_theta)
-    azimuths = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    vals = ws_numeric_many(density, np.arccos(cos_nodes)[:, None], azimuths)
-    total = float(np.sum(vals.sum(axis=1) * cos_weights) * (2.0 * math.pi / n_phi))
-    # exact: an element varies as exp(i a (alpha1 - alpha2)), a <= n, times a polynomial of degree
-    # <= n in each rho_j = |q_j + i p_j|^2 and exp(-rho_j); d^4q = drho1 drho2 dalpha1 dalpha2 / 4
-    rho, w = _gauss_laguerre(n_theta)
-    z = np.sqrt(rho)[:, None, None] * np.exp(1j * azimuths)
-    vals = wigner_complex_many(fiber_average(density), z.real, z.imag, np.sqrt(rho)[:, None], 0.0)
-    phase_space = float(math.pi**2 / n_phi * np.einsum("i,l,ilj->", w, w, vals.real))
+    e, n = density.elements, density.n
+    rows = [slice(t * (t + 1) // 2, (t + 1) * (t + 2) // 2) for t in range(n + 1)]
+    skew = max(float(np.max(np.abs(e[r, r] - e[r, r].conj().T))) for r in rows)
+    if skew > _IMAG_TOL * max(1.0, float(np.max(np.abs(e)))):
+        raise NumericError(f"max |E - E^H| = {skew:.3e} on the same-total blocks; "
+                           "the pushed operator is not Hermitian")
+    diagonal = OscillatorDensity.from_fock_elements(n, np.diag(np.diag(e)))
+    nodes = max(2, n // 2 + 1)
+    cos_nodes, cos_weights = np.polynomial.legendre.leggauss(nodes)
+    total = 2.0 * math.pi * float(ws_numeric_many(diagonal, np.arccos(cos_nodes), 0.0) @ cos_weights)
+    # d^4q = drho1 drho2 dalpha1 dalpha2 / 4, and the two phase integrals give (2 pi)^2
+    rho, w = _gauss_laguerre(nodes)
+    vals = wigner_complex_many(diagonal, np.sqrt(rho)[:, None], 0.0, np.sqrt(rho), 0.0)
+    phase_space = float(math.pi**2 * (w @ vals.real @ w))
     if abs(total - phase_space) > 1e-10 * max(1.0, abs(phase_space)):
         raise NumericError(f"sphere integral {total!r} differs from the phase-space "
                            f"integral {phase_space!r} of the Moyal sum")

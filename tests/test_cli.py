@@ -406,6 +406,24 @@ def test_non_hermitian_fiber_average_is_a_numeric_error(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scale", [1e6, 1e10])
+def test_large_hermitian_operator_passes_the_imaginary_checks(tmp_path, capsys, scale):
+    # the imaginary tolerances scale with max(1, max |element|), so the
+    # roundoff of a Hermitian operator with large entries is not refused
+    rng = np.random.default_rng(27)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rows = (a + a.conj().T) * scale
+    state = _state_file(tmp_path, "kind operator\nspins 4\n" + "".join(
+        "row " + " ".join(f"{v.real!r},{v.imag!r}" for v in row.tolist()) + "\n" for row in rows))
+    for command, grid, method in (("volume", "x1:-2:2:5,x2:-2:2:5,x3:-2:2:5", ()),
+                                  ("sphere", "theta:0:3:7,phi:0:6:9", ("--method", "numeric")),
+                                  ("sphere", "theta:0:3:7,phi:0:6:9", ("--method", "analytic"))):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--state", state, "--grid", grid, "--out", str(out), *method]) == 0, \
+            capsys.readouterr().err
+        assert out.exists()
+
+
 def test_check_leaves_numpy_random_unloaded(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys; from spinwigner.cli import main; code = main(sys.argv[1:]); "

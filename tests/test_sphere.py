@@ -11,7 +11,8 @@ import spinwigner as sw
 import spinwigner.sphere as sphere_mod
 from spinwigner.sphere import LmDensity
 
-from helpers import basis_vector, dense_spin, fock_index, omega, push_pure, singlet_vector
+from helpers import (basis_vector, dense_spin, dicke_coherent_density, fock_index, omega, push_pure,
+                     singlet_vector)
 
 
 def test_ws_singlet_is_uniform():
@@ -302,6 +303,32 @@ def test_derived_normalization_rule_matches_dense_rule(n):
     # commute with total spin squared, so the exact rule must reproduce it
     for d in _family_densities(n):
         assert sw.sphere_normalization(d) == pytest.approx(d.represented_trace, abs=1e-12)
+        # the full (n//2 + 1) x (n + 1) angular rule gives the same value
+        assert sw.sphere_normalization(d) == pytest.approx(_angular_rule(d, n // 2 + 1, n + 1),
+                                                           abs=1e-13)
+
+
+def _random_hermitian(n, seed):
+    size = len(sw.fock_states(n))
+    a = np.random.default_rng(seed).normal(size=(size, size, 2)) @ [1.0, 1.0j]
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("n, elements", [
+    (12, lambda n: dicke_coherent_density(n).elements),
+    (3, lambda n: _random_hermitian(n, 31)),
+    (6, lambda n: _random_hermitian(n, 32)),
+], ids=["dicke-coherent-12", "random-3", "random-6"])
+def test_normalization_reads_only_the_fock_diagonal(n, elements):
+    # every off-diagonal element integrates to zero over the azimuths, so
+    # tripling the off-diagonal part or replacing it leaves the value bit for bit
+    e = elements(n)
+    diagonal = np.diag(np.diag(e))
+    noise = _random_hermitian(n, 40 + n)
+    exact = sw.sphere_normalization(sw.OscillatorDensity.from_fock_elements(n, e))
+    for off in (3.0 * (e - diagonal), noise - np.diag(np.diag(noise))):
+        d = sw.OscillatorDensity.from_fock_elements(n, diagonal + off)
+        assert sw.sphere_normalization(d) == exact
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -436,7 +463,7 @@ def test_ws_analytic_at_forty_spins():
     tt, pp = np.array([0.2, 0.7, 1.0, 2.0, 3.0]), np.array([0.8, 0.5, 3.5, 0.8, 6.0])
     exact = sw.ws_analytic(lm, tt, pp)
     assert np.max(np.abs(exact - sw.ws_numeric_many(d, tt, pp))) <= 1e-12 * np.max(np.abs(exact))
-    # the exact (n//2 + 1) x (n + 1) angular rule of sphere_normalization
+    # the exact (n//2 + 1) x (n + 1) angular rule of the sphere integral
     cos_nodes, cos_weights = np.polynomial.legendre.leggauss(n // 2 + 1)
     phis = np.arange(n + 1) * (2.0 * math.pi / (n + 1))
     vals = sw.ws_analytic(lm, np.arccos(cos_nodes)[:, None], phis[None, :])

@@ -21,7 +21,7 @@ codes = [main(argv) for argv in json.loads(sys.argv[3])]
 with open(sys.argv[4], "w") as fh:
     json.dump({"codes": codes, "names": sorted({s["name"] for s in recorder.spans}),
                "targets": [f"{m}.{f}" for m, fs in tracer.TARGETS.items() for f in fs],
-               "missing": tracer.layer_metrics(recorder.spans)["missing_layers"]}, fh)
+               "metrics": tracer.layer_metrics(recorder.spans)}, fh)
 """
 
 
@@ -45,4 +45,12 @@ def test_tracer_records_every_layer(tmp_path):
     got = json.loads(result.read_text())
     assert got["codes"] == [0, 0, 0]
     assert set(got["targets"]) | {"sphere.LmDensity.from_density"} <= set(got["names"])
-    assert got["missing"] == []
+    metrics = got["metrics"]
+    assert metrics["missing_layers"] == []
+    # every per-layer metric of the benchmark but the three that perfbench/run.py
+    # sets itself gets a value from these jobs, and the normalization's kernel is seen
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    wanted = {m["name"] for m in spec["per_layer"]}
+    wanted -= {"cli.rows_written", "cli.bytes_written", "trace_overhead"}
+    assert sorted(wanted - set(metrics)) == []
+    assert metrics["sphere.normalization_points"] > 0
