@@ -54,7 +54,8 @@ from . import __version__
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .moyal import wigner_complex_many
 from .omega_map import OscillatorDensity, construct_omega, push_density, push_operator
-from .reduced_space import check_fiber_invariance, fiber_average, reduced_wigner_many
+from .reduced_space import (_check_hermitian, _same_total_blocks, check_fiber_invariance,
+                            fiber_average, reduced_wigner_many)
 from .spin_core import _check_capacity, decompose_angular_basis
 from .sphere import LmDensity, sphere_normalization, ws_analytic, ws_numeric_many
 from .states import StateSpec, realize_operator
@@ -423,12 +424,10 @@ def _write_grid(path: str, header: list[str], grid: GridSpec, names: list[str],
 
 def _maybe_normalization(average: OscillatorDensity, notes: list[str]) -> float:
     """Sphere integral of a fiber average, or NaN with a note saying why not."""
-    e = average.elements
-    skew = float(np.max(np.abs(e - e.conj().T), initial=0.0))
-    if skew > 1e-10 * max(1.0, float(np.max(np.abs(e), initial=0.0))):
-        # the spherical function of a non-Hermitian operator is complex
-        notes.append(f"normalization skipped: operator is not Hermitian "
-                     f"(max |E - E^H| = {skew:.3e})")
+    try:  # the spherical function of a non-Hermitian operator is complex
+        _check_hermitian(_same_total_blocks(average.n, average.elements))
+    except NumericError as exc:
+        notes.append(f"normalization skipped: {exc}")
         return math.nan
     if average.represented_trace <= 1e-9:
         notes.append(f"normalization skipped: represented trace "
@@ -535,10 +534,11 @@ def cmd_check(spec: StateSpec, tolerances: dict[str, float] | None = None,
     else:
         notes.append(f"input trace {input_trace:.6f} is not 1; trace check skipped")
     # the sphere integral equals the represented trace by construction
-    if not math.isnan(norm) and abs(norm - density.represented_trace) > tol["norm"]:
+    bound = tol["norm"] * max(1.0, abs(density.represented_trace))
+    if not math.isnan(norm) and abs(norm - density.represented_trace) > bound:
         ok = False
         notes.append(f"sphere normalization {norm!r} differs from the represented trace "
-                     f"{density.represented_trace!r} by more than {tol['norm']:.0e}")
+                     f"{density.represented_trace!r} by more than {bound:.0e}")
     if not density.commutes_with_s2:
         notes.append(
             f"operator does not commute with total spin squared "

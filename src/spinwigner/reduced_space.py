@@ -23,9 +23,27 @@ from .errors import NumericError, ValidationError
 from .moyal import _finite, _order_groups, _order_sum, wigner_complex_many
 from .omega_map import OscillatorDensity
 
-_IMAG_TOL = 1e-8
+_HERMITIAN_TOL = 1e-10
 _FIBER_SEED = 0
 _FIBER_RADIUS = 1.5
+
+
+def _same_total_blocks(n: int, matrix: np.ndarray) -> list[np.ndarray]:
+    """Views of the block of each Fock total T = 0..n, [T(T+1)/2, (T+1)(T+2)/2)."""
+    rows = (slice(t * (t + 1) // 2, (t + 1) * (t + 2) // 2) for t in range(n + 1))
+    return [matrix[r, r] for r in rows]
+
+
+def _check_hermitian(blocks) -> None:
+    """The package's one test that the three-variable functions of same-total
+    blocks are real: max |E - E^H| over the blocks above ``_HERMITIAN_TOL``
+    times max(1, their largest |element|) is a NumericError naming it."""
+    skew, scale = 0.0, 1.0
+    for block in blocks:
+        skew = max(skew, float(np.max(np.abs(block - block.conj().T))))
+        scale = max(scale, float(np.max(np.abs(block))))
+    if skew > _HERMITIAN_TOL * scale:
+        raise NumericError(f"operator is not Hermitian (max |E - E^H| = {skew:.3e})")
 
 
 def fiber_average(density: OscillatorDensity) -> OscillatorDensity:
@@ -33,9 +51,11 @@ def fiber_average(density: OscillatorDensity) -> OscillatorDensity:
     with every T != T' Fock block zeroed, since a rotation by chi along the
     fibers turns that block by exp(i chi (T' - T)). Its S^2 residual is 0,
     and its trace is that of ``density``."""
-    totals = np.repeat(np.arange(density.n + 1), np.arange(1, density.n + 2))
-    same = totals[:, None] == totals[None, :]
-    return OscillatorDensity.from_fock_elements(density.n, np.where(same, density.elements, 0.0))
+    e = np.zeros_like(density.elements)
+    for average, block in zip(_same_total_blocks(density.n, e),
+                              _same_total_blocks(density.n, density.elements)):
+        average[...] = block
+    return OscillatorDensity(density.n, e, float(np.trace(e).real), 0.0)
 
 
 def _reduced_inputs(x1, x2, x3):
@@ -58,19 +78,15 @@ def reduced_wigner_many(density: OscillatorDensity, x1, x2, x3) -> np.ndarray:
     ket (k1, T - k1) carries w^(b1 - k1), conj(w)^(k1 - b1) when b1 < k1.
     The smaller of r +- x3 is formed as (x1^2 + x2^2) / (r + |x3|), so
     nothing cancels near the x3 axis; where exp(-r) underflows the point
-    gives 0, also at a huge finite coordinate. An imaginary part above
-    1e-8 max(1, max |element|), a non-Hermitian average, is a NumericError.
+    gives 0, also at a huge finite coordinate. Non-Hermitian same-total
+    blocks, as ``_check_hermitian`` decides, are a NumericError.
     """
     x1, x2, x3 = np.broadcast_arrays(*_finite(x1=x1, x2=x2, x3=x3))
-    out, worst = np.empty(x1.size), 0.0
+    _check_hermitian(_same_total_blocks(density.n, density.elements))
+    out = np.empty(x1.size)
     for s, vals in _order_sum(_order_groups(density, same_total=True), density.n,
                               _reduced_inputs, x1, x2, x3):
-        worst = max(worst, float(np.max(np.abs(vals.imag), initial=0.0)))
         out[s] = vals.real
-    tol = _IMAG_TOL * max(1.0, float(np.max(np.abs(density.elements), initial=0.0)))
-    if worst > tol:
-        raise NumericError(f"imaginary residual {worst:.3e} exceeds {tol:.0e}; "
-                           "the pushed operator is not Hermitian")
     return out.reshape(x1.shape)
 
 

@@ -40,9 +40,8 @@ from .errors import NumericError, ValidationError
 from .omega_map import OscillatorDensity, fock_states
 from .moyal import _finite, wigner_complex_many
 from .spin_core import _readonly
-from .reduced_space import reduced_wigner_many
+from .reduced_space import _check_hermitian, _same_total_blocks, reduced_wigner_many
 
-_IMAG_TOL = 1e-10
 _LM_CUT = 1e-13
 
 
@@ -131,11 +130,10 @@ class LmDensity:
         mag = np.abs(e)
         kept = mag > _LM_CUT * max(1.0, float(np.max(mag, initial=0.0)))
         same: dict[int, np.ndarray] = {}
-        for total in range(density.n + 1):
-            rows = slice(total * (total + 1) // 2, (total + 1) * (total + 2) // 2)
-            block = kept[rows, rows]
+        for total, (block, rho) in enumerate(zip(_same_total_blocks(density.n, kept),
+                                                 _same_total_blocks(density.n, e))):
             if block.any():
-                same[total] = _readonly(np.where(block, e[rows, rows], 0.0))
+                same[total] = _readonly(np.where(block, rho, 0.0))
             block[...] = False
         f, g = np.nonzero(kept)
         n1, n2 = np.array(fock_states(density.n)).T
@@ -161,8 +159,8 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
     |l, m><l, m| at theta = 0. The rotation comes from one eigendecomposition
     of J2 per shell. Each distinct theta of the call forms the rotated
     diagonal once; each point then adds its azimuthal harmonics elementwise,
-    so a value does not depend on the other points of the call. An
-    imaginary part above 1e-10 max(1, max |rho_l|) is a NumericError.
+    so a value does not depend on the other points of the call. Non-Hermitian
+    shell blocks, as ``_check_hermitian`` decides, are a NumericError.
     """
     if lm_density.cross_shell:
         labels = ", ".join(
@@ -177,6 +175,7 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
             "use the numeric route for these terms"
         )
     theta, phi = np.broadcast_arrays(*_finite(theta=theta, phi=phi))
+    _check_hermitian(lm_density.same_shell.values())
     # Per shell: the block rho_l (row a holds m = a - l), the eigenpairs of
     # J2 = (J+ - J-) / 2i, where J+ = a1^dag a2 raises row a - 1 to row a by
     # sqrt(a (2l + 1 - a)), delta_m(l), and the harmonic a - a' of each entry.
@@ -203,13 +202,6 @@ def ws_analytic(lm_density: LmDensity, theta, phi) -> np.ndarray:
         ph = phis[points]
         harmonics = np.flatnonzero(g).tolist()
         values[points] = sum(g[k] * np.exp(1j * (k - top) * ph) for k in harmonics)
-    scale = max([1.0] + [float(np.max(np.abs(rho))) for rho in lm_density.same_shell.values()])
-    bad = np.flatnonzero(np.abs(values.imag) > _IMAG_TOL * scale)
-    if bad.size:
-        raise NumericError(
-            f"imaginary residual {abs(values.imag[bad[0]]):.3e} exceeds {_IMAG_TOL * scale:.0e} "
-            "in the closed-form spherical sum"
-        )
     return values.real.reshape(theta.shape)
 
 
@@ -223,16 +215,13 @@ def sphere_normalization(density: OscillatorDensity) -> float:
     integral is a polynomial of degree <= n in cos(theta), so n//2 + 1 (at
     least 2) Gauss-Legendre nodes in cos(theta), or Gauss-Laguerre nodes in
     each |q_j + i p_j|^2 for the Moyal sum, are exact. A gap above 1e-10
-    between the two integrals, or non-Hermitian same-total blocks, is a
-    NumericError. Both equal the represented trace.
+    between the two integrals, or non-Hermitian same-total blocks as
+    ``_check_hermitian`` decides, is a NumericError. Both equal the
+    represented trace.
     """
     e, n = density.elements, density.n
-    rows = [slice(t * (t + 1) // 2, (t + 1) * (t + 2) // 2) for t in range(n + 1)]
-    skew = max(float(np.max(np.abs(e[r, r] - e[r, r].conj().T))) for r in rows)
-    if skew > _IMAG_TOL * max(1.0, float(np.max(np.abs(e)))):
-        raise NumericError(f"max |E - E^H| = {skew:.3e} on the same-total blocks; "
-                           "the pushed operator is not Hermitian")
-    diagonal = OscillatorDensity.from_fock_elements(n, np.diag(np.diag(e)))
+    _check_hermitian(_same_total_blocks(n, e))
+    diagonal = OscillatorDensity(n, np.diag(np.diag(e)), float(np.trace(e).real), 0.0)
     nodes = max(2, n // 2 + 1)
     cos_nodes, cos_weights = np.polynomial.legendre.leggauss(nodes)
     total = 2.0 * math.pi * float(ws_numeric_many(diagonal, np.arccos(cos_nodes), 0.0) @ cos_weights)

@@ -220,6 +220,16 @@ def nonreducible_two_spin_operator() -> np.ndarray:
     return a
 
 
+def skewed_two_spin_operator(eps: float) -> np.ndarray:
+    """H + i eps K, with H and K the Hermitian parts (G + G^H) / 2 of two
+    successive complex normal 4 x 4 draws G of default_rng(3). Its same-total
+    blocks are Hermitian up to about 1.8 eps (5.295e-09 at eps = 3e-9)."""
+    rng = np.random.default_rng(3)
+    h, k = [(g + g.conj().T) / 2 for g in
+            [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2)]]
+    return h + 1j * eps * k
+
+
 def hermite_functions(nmax: int, x: np.ndarray) -> np.ndarray:
     """Orthonormal oscillator eigenfunctions psi_0..psi_nmax on a grid.
 

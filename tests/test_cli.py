@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import spinwigner as sw
 from spinwigner.cli import main, parse_grid, parse_state_text
 
-from helpers import dense_spin_squared, dense_tower
+from helpers import dense_spin_squared, dense_tower, skewed_two_spin_operator
 
 
 ROOT2 = math.sqrt(2.0)
@@ -64,6 +64,12 @@ def _state_file(tmp_path, text, name="state.txt"):
     path = tmp_path / name
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return str(path)
+
+
+def _operator_file(tmp_path, n, matrix):
+    return _state_file(tmp_path, f"kind operator\nspins {n}\n" + "".join(
+        "row " + " ".join(f"{v.real!r},{v.imag!r}" for v in row) + "\n"
+        for row in np.asarray(matrix, dtype=complex).tolist()))
 
 
 def _read_table(path):
@@ -422,6 +428,48 @@ def test_large_hermitian_operator_passes_the_imaginary_checks(tmp_path, capsys, 
         assert main([command, "--state", state, "--grid", grid, "--out", str(out), *method]) == 0, \
             capsys.readouterr().err
         assert out.exists()
+
+
+@pytest.mark.parametrize("eps", [3e-9, 1e-12])
+def test_every_three_variable_route_takes_one_hermitian_rule(tmp_path, capsys, eps):
+    # same-total skew 5.3e-9 is above 1e-10 of the largest element, 1.8e-12 is
+    # not: every real-valued command refuses what the normalization skips
+    state = _operator_file(tmp_path, 2, skewed_two_spin_operator(eps))
+    out = tmp_path / "out.csv"
+    runs = [["volume", "--grid", VOLUME_3]] + [
+        ["sphere", "--grid", "theta:0:3:3,phi:0:6:3", "--method", method]
+        for method in ("numeric", "analytic", "both")]
+    for argv in runs:
+        code = main([*argv, "--state", state, "--out", str(out)])
+        err = capsys.readouterr().err
+        if eps > 1e-10:
+            assert (code, out.exists()) == (2, False) and "not Hermitian" in err, argv
+        else:
+            assert code == 0, err
+            out.unlink()
+    assert main(["plane4d", "--state", state, "--grid", "q1:-1:1:3,p1:-1:1:3",
+                 "--out", str(out)]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note=")]
+    assert notes == (["note=normalization skipped: operator is not Hermitian "
+                      "(max |E - E^H| = 5.295e-09)"] if eps > 1e-10 else [])
+
+
+def test_check_scales_the_normalization_tolerance_by_the_trace(tmp_path, capsys):
+    # 1e10 times the identity commutes with S^2; its sphere integral, the
+    # represented trace 9e10, comes out 3e-5 (3.3e-16 relative) off
+    assert main(["check", "--state", _operator_file(tmp_path, 4, 1e10 * np.eye(16))]) == 0
+    report = capsys.readouterr().out
+    assert "sphere normalization" not in report and "status=ok" in report
+
+
+def test_check_reports_a_normalization_gap_of_a_unit_trace_state(tmp_path, capsys, monkeypatch):
+    import spinwigner.cli as cli
+
+    monkeypatch.setattr(cli, "sphere_normalization", lambda d: d.represented_trace + 1e-7)
+    assert main(["check", "--state", _state_file(tmp_path, CAT5)]) == 1
+    report = capsys.readouterr().out
+    assert "differs from the represented trace" in report and "by more than 1e-08" in report
+    assert "status=fail" in report
 
 
 def test_check_leaves_numpy_random_unloaded(tmp_path):

@@ -13,8 +13,8 @@ from spinwigner.omega_map import OscillatorDensity
 
 from helpers import (basis_vector, dicke_coherent_density, hopf_forward_arrays,
                      hopf_section_arrays, nonreducible_two_spin_operator, omega, push_pure,
-                     reference_reduced_wigner_many, singlet_vector, state_families,
-                     wigner_4d_many)
+                     reference_reduced_wigner_many, singlet_vector, skewed_two_spin_operator,
+                     state_families, wigner_4d_many)
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -334,3 +334,22 @@ def test_fiber_invariance_zero_density():
 def test_fiber_invariance_deterministic():
     d = push_pure(2, basis_vector(2, 0b11))
     assert sw.check_fiber_invariance(d, 37) == sw.check_fiber_invariance(d, 37)
+
+
+@pytest.mark.parametrize("eps, refused", [(3e-9, True), (1e-12, False)])
+def test_every_three_variable_route_takes_one_hermitian_rule(eps, refused):
+    # same-total skew 5.3e-9 is above 1e-10 of the largest element, 1.8e-12 is not
+    d = sw.push_operator(omega(2), skewed_two_spin_operator(eps))
+    routes = {
+        "reduced": lambda: sw.reduced_wigner_many(d, 0.4, -0.8, 1.1),
+        "numeric": lambda: sw.ws_numeric_many(d, 0.7, 1.9),
+        "analytic": lambda: sw.ws_analytic(sw.LmDensity.from_density(sw.fiber_average(d)),
+                                           0.7, 1.9),
+        "normalization": lambda: sw.sphere_normalization(d),
+    }
+    for name, route in routes.items():
+        if refused:
+            with pytest.raises(sw.NumericError, match="not Hermitian"):
+                route()
+        else:
+            assert np.isfinite(route()), name
