@@ -11,7 +11,7 @@ contraction (``reduced_space``), and integrate radially onto the sphere
 evaluation as a command line tool.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .errors import CapacityError, NumericError, SpinWignerError, ValidationError
 from .spin_core import (
@@ -29,7 +29,7 @@ from .omega_map import (
     push_density,
     push_operator,
 )
-from .moyal import laguerre, moyal_1d, wigner_complex_many
+from .moyal import wigner_complex_many
 from .reduced_space import (
     check_fiber_invariance,
     fiber_average,
@@ -73,9 +73,7 @@ __all__ = [
     "fock_state",
     "fock_states",
     "intertwining_residual",
-    "laguerre",
     "mixture",
-    "moyal_1d",
     "push_density",
     "push_operator",
     "radial_integral_I",

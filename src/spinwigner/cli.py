@@ -440,7 +440,7 @@ def _evaluate_grid(spec: StateSpec, grid: GridSpec, out_path: str, evaluate,
                    header: tuple[str, ...] = ()) -> EvalReport:
     """Push, evaluate, normalize, and write the file only once all succeeded.
 
-    ``evaluate(density, *axis_points, notes)`` gets one flat array per axis
+    ``evaluate(density, *axis_points)`` gets one flat array per axis
     and returns the value column names and arrays. The three-variable grids
     (volume, sphere) and the normalization get ``fiber_average`` of the pushed
     operator; when it fails the commutation test, a note and a header line say so.
@@ -456,7 +456,7 @@ def _evaluate_grid(spec: StateSpec, grid: GridSpec, out_path: str, evaluate,
                      f"(residual {pushed.s2_residual:.3e}); plane4d shows the cross-shell "
                      "coherences the average drops")
         header = (*header, "reduction: fiber average")
-    names, values = evaluate(density, *(g.ravel() for g in mesh), notes)
+    names, values = evaluate(density, *(g.ravel() for g in mesh))
     norm = _maybe_normalization(average, notes)
     _write_grid(out_path, [f"spinwigner {__version__}", f"state: {spec.describe()}",
                            f"grid: {grid.describe()}", *header], grid, names, values)
@@ -468,7 +468,7 @@ def _evaluate_grid(spec: StateSpec, grid: GridSpec, out_path: str, evaluate,
 def cmd_eval_volume(spec: StateSpec, grid: GridSpec, out_path: str) -> EvalReport:
     """Evaluate the reduced function on a volume grid and write it out."""
 
-    def evaluate(density, x1, x2, x3, notes):
+    def evaluate(density, x1, x2, x3):
         return ["value"], [reduced_wigner_many(density, x1, x2, x3)]
 
     return _evaluate_grid(spec, grid, out_path, evaluate)
@@ -478,13 +478,11 @@ def cmd_eval_sphere(spec: StateSpec, grid: GridSpec, out_path: str,
                     method: str = "numeric") -> EvalReport:
     """Evaluate the spherical function on an angular grid and write it out."""
 
-    def evaluate(density, theta, phi, notes):
+    def evaluate(density, theta, phi):
         if method != "numeric":  # the fiber average has no cross-shell terms
             analytic = ws_analytic(LmDensity.from_density(density), theta, phi)
-        if method != "analytic":  # in chunks, since the radial nodes multiply the points
-            numeric = np.concatenate([ws_numeric_many(density, theta[i:i + _CHUNK],
-                                                      phi[i:i + _CHUNK])
-                                      for i in range(0, theta.size, _CHUNK)])
+        if method != "analytic":
+            numeric = ws_numeric_many(density, theta, phi)
         if method == "both":
             return (["value", "value_numeric", "abs_diff"],
                     [analytic, numeric, np.abs(analytic - numeric)])
@@ -501,7 +499,7 @@ def cmd_eval_plane4d(spec: StateSpec, grid: GridSpec, out_path: str) -> EvalRepo
     written as separate re/im columns.
     """
 
-    def evaluate(density, ga, gb, notes):
+    def evaluate(density, ga, gb):
         coords = {**dict(grid.fixed), grid.axes[0].name: ga, grid.axes[1].name: gb}
         vals = wigner_complex_many(density, *(coords[name] for name in _PLANE_AXES))
         return ["value_re", "value_im"], [vals.real, vals.imag]

@@ -1,4 +1,4 @@
-"""Oscillator Moyal functions and the one kernel of the Moyal sum.
+"""The one kernel of the Moyal sum of oscillator Moyal functions.
 
 The one-mode Moyal function W_{n n'}(q, p) used here is the phase-space
 transform of |n'><n| for oscillator eigenstates, in natural units. It has
@@ -8,8 +8,9 @@ two branches; for n <= n' it reads
         * exp(-(q^2 + p^2)) * L_n^(n'-n)(2 (q^2 + p^2))
 
 and the opposite ordering is fixed by hermiticity, W_{n n'} = conj W_{n' n}.
-Factorial ratios are taken in log space and the complex monomial is built
-by repeated multiplication, which keeps the axes exactly real/imaginary.
+Only the sum below evaluates it: ``_moyal_prefactor`` takes the factorial
+ratios in log space, ``_laguerre_table`` the Laguerre factors, and repeated
+multiplication the monomial, which keeps the axes exactly real/imaginary.
 
 The four-dimensional function of a pushed operator is the double sum of
 matrix elements times one-mode Moyal functions, one per mode. With rows as
@@ -61,44 +62,10 @@ def _finite(**coords) -> list[np.ndarray]:
     return out
 
 
-def laguerre(degree: int, order: int | float, x):
-    """Generalized Laguerre polynomial by the three-term recurrence in degree.
-
-    Accepts a scalar or array argument; the recurrence is stable upward in
-    the degree for the non-negative orders used here.
-    """
-    if degree < 0:
-        raise ValidationError(f"degree must be >= 0, got {degree}")
-    x = np.asarray(x, dtype=float)
-    prev, cur = np.zeros_like(x), np.ones_like(x)  # L_{-1} = 0: step 1 is 1 + order - x
-    for k in range(1, degree + 1):
-        prev, cur = cur, ((2.0 * k - 1.0 + order - x) * cur - (k - 1.0 + order) * prev) / k
-    return cur if cur.ndim else float(cur)
-
-
 def _moyal_prefactor(n: int, d: int) -> float:
     """(-1)^n / pi * sqrt(2^d n! / (n + d)!), the factor of W_{n, n+d}."""
     return (-1.0) ** n / math.pi * math.exp(
         0.5 * (d * _LN2 + math.lgamma(n + 1) - math.lgamma(n + d + 1)))
-
-
-def moyal_1d(n: int, n_prime: int, q, p):
-    """One-mode Moyal function W_{n n'}(q, p); scalar or elementwise on arrays."""
-    if n < 0 or n_prime < 0:
-        raise ValidationError("Moyal indices must be >= 0")
-    q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
-    d, m = abs(n_prime - n), min(n, n_prime)
-    with np.errstate(over="ignore"):
-        rho = q * q + p * p
-    damp = np.exp(-rho)
-    q, p, rho = (np.where(damp == 0.0, 0.0, c) for c in (q, p, rho))  # 0 there, not inf * 0
-    zbar = q - 1j * p
-    mono = np.ones_like(q, dtype=complex)
-    for _ in range(d):
-        mono = mono * zbar
-    entry = _moyal_prefactor(m, d) * mono * damp * laguerre(m, d, 2.0 * rho)
-    entry = np.conjugate(entry) if n > n_prime else entry
-    return entry if q.ndim else complex(entry)
 
 
 def _order_groups(density: OscillatorDensity, same_total: bool = False) -> dict:

@@ -93,22 +93,6 @@ class OscillatorDensity:
     def commutes_with_s2(self) -> bool:
         return self.s2_residual <= S2_COMMUTE_TOL
 
-    @classmethod
-    def from_fock_elements(cls, n: int, elements: np.ndarray) -> "OscillatorDensity":
-        """Wrap a raw Fock-basis matrix, deriving the compatibility residual.
-
-        An operator commutes with total spin squared exactly when it is
-        block diagonal in total excitation, so the residual can be read off
-        the cross-block entries directly.
-        """
-        e = np.asarray(elements, dtype=complex)
-        states = fock_states(n)
-        totals = np.array([a + b for a, b in states], dtype=float)
-        lvals = totals / 2.0
-        casimir = lvals * (lvals + 1.0)
-        residual = float(np.max(np.abs((casimir[:, None] - casimir[None, :]) * e), initial=0.0))
-        return cls(n, e, float(np.trace(e).real), residual)
-
 
 def construct_omega(basis: AngularBasis) -> OmegaMap:
     """The canonical embedding, whose block of total 2l is ``basis.towers[2l]``,

@@ -43,6 +43,7 @@ from .spin_core import _readonly
 from .reduced_space import _check_hermitian, _same_total_blocks, reduced_wigner_many
 
 _LM_CUT = 1e-13
+_ANGLE_BLOCK = 8192  # most angles per radial evaluation in ws_numeric_many
 
 
 @lru_cache(maxsize=32)
@@ -60,14 +61,19 @@ def ws_numeric_many(density: OscillatorDensity, theta, phi) -> np.ndarray:
     in r, so with the weight r the integrand has degree at most n + 1. The
     rule is (n + 3) // 2 Gauss-Laguerre nodes, the fewest k with
     2k - 1 >= n + 1, so every value is the exact radial integral up to
-    rounding.
+    rounding. The nodes multiply the points, so the angles are taken
+    ``_ANGLE_BLOCK`` at a time; a value does not depend on the other angles.
     """
     theta, phi = np.broadcast_arrays(*_finite(theta=theta, phi=phi))
     r, w = _gauss_laguerre((density.n + 3) // 2)
-    st = np.sin(theta)[..., None]
-    vals = reduced_wigner_many(density, r * (st * np.cos(phi)[..., None]),
-                               r * (st * np.sin(phi)[..., None]), r * np.cos(theta)[..., None])
-    return (math.pi / 4.0) * np.sum(vals * (w * r), axis=-1)
+    out = np.empty(theta.size)
+    for start in range(0, theta.size, _ANGLE_BLOCK):
+        t, p = (a.flat[start:start + _ANGLE_BLOCK][:, None] for a in (theta, phi))
+        st = np.sin(t)
+        vals = reduced_wigner_many(density, r * (st * np.cos(p)), r * (st * np.sin(p)),
+                                   r * np.cos(t))
+        out[start:start + _ANGLE_BLOCK] = (math.pi / 4.0) * np.sum(vals * (w * r), axis=-1)
+    return out.reshape(theta.shape)
 
 
 def radial_integral_I(i: int, j: int, alpha: int, c: float) -> float:

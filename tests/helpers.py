@@ -181,6 +181,20 @@ def state_families(n: int) -> dict[str, sw.SpinMixture]:
     }
 
 
+def fock_density(n: int, elements: np.ndarray) -> sw.OscillatorDensity:
+    """Wrap a raw Fock-basis matrix, deriving its trace and S^2 residual.
+
+    An operator commutes with total spin squared exactly when it is block
+    diagonal in total excitation, so the residual is the largest entry of
+    the Casimir difference l(l + 1) - l'(l' + 1) times the element.
+    """
+    e = np.asarray(elements, dtype=complex)
+    lvals = np.array([a + b for a, b in sw.fock_states(n)], dtype=float) / 2.0
+    casimir = lvals * (lvals + 1.0)
+    residual = float(np.max(np.abs((casimir[:, None] - casimir[None, :]) * e), initial=0.0))
+    return sw.OscillatorDensity(n, e, float(np.trace(e).real), residual)
+
+
 def dicke_coherent_density(n: int) -> sw.OscillatorDensity:
     """The pushed coherent state along theta = 0.7, phi = 0.8, built by hand:
     amplitudes sqrt(C(n,k)) cos^k(0.35) (e^{0.8i} sin 0.35)^(n-k) on Fock
@@ -191,7 +205,7 @@ def dicke_coherent_density(n: int) -> sw.OscillatorDensity:
     e = np.zeros((len(sw.fock_states(n)),) * 2, dtype=complex)
     lo = n * (n + 1) // 2
     e[lo:, lo:] = np.outer(amp, amp.conj())
-    return sw.OscillatorDensity.from_fock_elements(n, e)
+    return fock_density(n, e)
 
 
 def basis_vector(n: int, index: int) -> np.ndarray:

@@ -14,12 +14,12 @@ from scipy.special import eval_genlaguerre
 
 import spinwigner as sw
 from spinwigner.cli import main
-from spinwigner.omega_map import OscillatorDensity
 from spinwigner.sphere import LmDensity
 
 from helpers import (basis_vector, dense_jordan_schwinger, dense_map, dense_spin,
-                     dense_spin_squared, fock_index, nonreducible_two_spin_operator, omega,
-                     oracle_wigner_integral, push_pure, singlet_vector, wigner_4d_many)
+                     dense_spin_squared, fock_density, fock_index,
+                     nonreducible_two_spin_operator, omega, oracle_wigner_integral, push_pure,
+                     singlet_vector, wigner_4d_many)
 
 
 def _report(num: int, text: str, started: float) -> None:
@@ -226,7 +226,7 @@ def test_criterion_07_radial_integrals_and_analytic_sphere():
                 e[idx[(a, n - a)], idx[(b, n - b)]] = 1.0
                 combos = [e] if a == b else [e + e.conj().T, 1j * (e - e.conj().T)]
                 for mat in combos:
-                    d = OscillatorDensity.from_fock_elements(n, mat)
+                    d = fock_density(n, mat)
                     lm = LmDensity.from_density(d)
                     numeric = sw.ws_numeric_many(d, tt, pp)
                     assert np.max(np.abs(sw.ws_analytic(lm, tt, pp) - numeric)) <= 1e-8

@@ -9,22 +9,28 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 import spinwigner as sw
-from spinwigner.moyal import _BLOCK, wigner_complex_many
-from spinwigner.omega_map import OscillatorDensity
+from spinwigner.moyal import _BLOCK, _laguerre_table, wigner_complex_many
 
-from helpers import (basis_vector, dense_ladder, dicke_coherent_density, fock_index,
+from helpers import (basis_vector, dense_ladder, dicke_coherent_density, fock_density, fock_index,
                      hopf_forward_arrays, hopf_section_arrays, nonreducible_two_spin_operator,
                      omega, oracle_wigner_integral, push_pure, reference_moyal_1d,
                      reference_wigner_complex_many, singlet_vector, state_families,
                      wigner_4d_many)
 
 
+def _laguerre(degree, order, x):
+    """L_degree^order(x) as the kernel's table holds it, at n = degree + order."""
+    n, x = degree + order, np.asarray(x, dtype=float)
+    row = degree * (2 * n + 3 - degree) // 2 + order
+    return _laguerre_table(n, x.ravel())[row].reshape(x.shape)
+
+
 def test_laguerre_hand_values():
-    assert sw.laguerre(0, 0, 7.3) == 1.0
-    assert sw.laguerre(1, 0, 2.0) == pytest.approx(-1.0, abs=1e-15)
+    assert _laguerre(0, 0, 7.3) == 1.0
+    assert float(_laguerre(1, 0, 2.0)) == pytest.approx(-1.0, abs=1e-15)
     # quadratic: 1 - 2x + x^2/2 at x = 2
     x = 2.0
-    assert sw.laguerre(2, 0, x) == pytest.approx(1.0 - 2.0 * x + x * x / 2.0, abs=1e-14)
+    assert float(_laguerre(2, 0, x)) == pytest.approx(1.0 - 2.0 * x + x * x / 2.0, abs=1e-14)
 
 
 def test_laguerre_against_scipy():
@@ -33,21 +39,33 @@ def test_laguerre_against_scipy():
         deg = int(rng.integers(0, 11))
         order = int(rng.integers(0, 7))
         x = float(rng.uniform(0.0, 50.0))
-        mine = sw.laguerre(deg, order, x)
+        mine = float(_laguerre(deg, order, x))
         ref = eval_genlaguerre(deg, order, x)
         assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
 def test_laguerre_array_argument():
     x = np.linspace(0.0, 5.0, 7)
-    vals = sw.laguerre(3, 2, x)
+    vals = _laguerre(3, 2, x)
     assert vals.shape == x.shape
     assert np.allclose(vals, eval_genlaguerre(3, 2, x), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 12, 40])
+def test_laguerre_table_rows_match_scipy(n):
+    x = np.linspace(0.0, 4.0 * n + 4.0, 257)
+    table = _laguerre_table(n, x)
+    assert table.shape == ((n + 1) * (n + 2) // 2, x.size)
+    for k in range(n + 1):
+        for a in range(n + 1 - k):
+            expect = eval_genlaguerre(k, a, x)
+            row = table[k * (2 * n + 3 - k) // 2 + a]
+            assert np.max(np.abs(row - expect)) <= 1e-13 * np.max(np.abs(expect)), (k, a)
+
+
 def test_moyal_origin_values():
-    assert sw.moyal_1d(0, 0, 0.0, 0.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
-    assert sw.moyal_1d(1, 1, 0.0, 0.0) == pytest.approx(-1.0 / math.pi, abs=1e-15)
+    assert reference_moyal_1d(0, 0, 0.0, 0.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
+    assert reference_moyal_1d(1, 1, 0.0, 0.0) == pytest.approx(-1.0 / math.pi, abs=1e-15)
 
 
 def test_moyal_first_off_diagonal_closed_form():
@@ -55,7 +73,7 @@ def test_moyal_first_off_diagonal_closed_form():
     # defining integral by hand
     q, p = 0.6, -1.3
     expect = math.sqrt(2.0) / math.pi * (q - 1j * p) * math.exp(-(q * q + p * p))
-    assert sw.moyal_1d(0, 1, q, p) == pytest.approx(expect, abs=1e-15)
+    assert reference_moyal_1d(0, 1, q, p) == pytest.approx(expect, abs=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,9 +82,19 @@ def test_moyal_first_off_diagonal_closed_form():
     q=st.floats(-3, 3), p=st.floats(-3, 3),
 )
 def test_moyal_hermiticity(n, n_prime, q, p):
-    a = sw.moyal_1d(n, n_prime, q, p)
-    b = sw.moyal_1d(n_prime, n, q, p)
+    # the kernel forms both orderings from one keyed column; mode 2 stays in
+    # its ground state, where W_00(0, 0) = 1 / pi
+    cutoff = max(n, n_prime)
+    idx = fock_index(cutoff)
+
+    def one_mode(k, b):  # W_kb(q, p): pi times the function of |b, 0><k, 0| at (q, p, 0, 0)
+        e = np.zeros((len(idx),) * 2, dtype=complex)
+        e[idx[(b, 0)], idx[(k, 0)]] = 1.0
+        return math.pi * complex(wigner_complex_many(fock_density(cutoff, e), q, p, 0.0, 0.0))
+
+    a, b = one_mode(n, n_prime), one_mode(n_prime, n)
     assert abs(a - np.conjugate(b)) <= 1e-12
+    assert abs(a - reference_moyal_1d(n, n_prime, q, p)) <= 1e-12
 
 
 def _phase_grid(half_width=7.0, points=141):
@@ -83,13 +111,13 @@ def _phase_grid(half_width=7.0, points=141):
 def test_moyal_normalization():
     qq, pp, ww = _phase_grid()
     for n in range(7):
-        integral = np.sum(sw.moyal_1d(n, n, qq, pp).real * ww)
+        integral = np.sum(reference_moyal_1d(n, n, qq, pp).real * ww)
         assert integral == pytest.approx(1.0, abs=1e-8)
 
 
 def test_moyal_orthogonality():
     qq, pp, ww = _phase_grid()
-    table = {(n, npr): sw.moyal_1d(n, npr, qq, pp) for n in range(4) for npr in range(4)}
+    table = {(n, npr): reference_moyal_1d(n, npr, qq, pp) for n in range(4) for npr in range(4)}
     for n in range(4):
         for npr in range(4):
             for m in range(4):
@@ -117,7 +145,7 @@ def test_wigner_nonreducible_operator_closed_form():
 
 def test_wigner_zero_density():
     size = len(sw.fock_states(2))
-    d = OscillatorDensity.from_fock_elements(2, np.zeros((size, size)))
+    d = fock_density(2, np.zeros((size, size)))
     pts = np.random.default_rng(0).uniform(-2, 2, size=(10, 4))
     vals = wigner_4d_many(d, *pts.T)
     assert np.all(vals == 0.0)
@@ -185,7 +213,7 @@ def test_oracle_ground_state_origin():
     size = len(sw.fock_states(1))
     e = np.zeros((size, size), dtype=complex)
     e[fock_index(1)[(0, 0)], fock_index(1)[(0, 0)]] = 1.0
-    d = OscillatorDensity.from_fock_elements(1, e)
+    d = fock_density(1, e)
     val = oracle_wigner_integral(d, 0, 0, 0, 0)
     assert val == pytest.approx(1.0 / math.pi**2, abs=1e-8)
 
@@ -266,16 +294,6 @@ def test_kernel_matches_the_per_pair_sum_for_a_coherent_state_at_forty_spins():
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
-def test_moyal_1d_matches_single_entry_formula():
-    q = np.concatenate([[0.0, 0.0, 1.3], np.linspace(-6.0, 6.0, 37)])
-    p = np.concatenate([[0.0, 0.7, 0.0], np.linspace(6.0, -6.0, 37)])
-    for n in range(9):
-        for n_prime in range(9):
-            assert np.array_equal(sw.moyal_1d(n, n_prime, q, p),
-                                  reference_moyal_1d(n, n_prime, q, p))
-            assert sw.moyal_1d(n, n_prime, 0.4, -0.9) == reference_moyal_1d(n, n_prime, 0.4, -0.9)
-
-
 def test_kernel_memory_is_bounded_by_the_block():
     # coherent n = 10: 1296 non-zero pairs over 121 keys per mode; per-key
     # arrays over all points would hold 242 x 16 B per point (774 MB at 200k)
@@ -300,7 +318,7 @@ def test_kernel_memory_is_bounded_by_the_block():
     for a, b in ((n, 0), (0, n), (15, 15)):
         e[idx[(a, b)], idx[(a, b)]] = 1.0
     e[idx[(n, 0)], idx[(0, n)]] = e[idx[(0, n)], idx[(n, 0)]] = 0.5
-    d = sw.OscillatorDensity.from_fock_elements(n, e)
+    d = fock_density(n, e)
     pts = rng.uniform(-3.0, 3.0, size=(4, 5000))
     tracemalloc.start()
     try:

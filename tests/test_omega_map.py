@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import spinwigner as sw
-from spinwigner.omega_map import OscillatorDensity
 
 from helpers import (basis_vector, dense_jordan_schwinger, dense_jordan_schwinger_squared,
-                     dense_map, dense_tower, fock_index, omega, push_pure,
+                     dense_map, dense_tower, fock_density, fock_index, omega, push_pure,
                      reference_intertwining_residual, reference_jordan_schwinger, singlet_vector)
 
 
@@ -312,7 +311,7 @@ def test_from_fock_elements_commutation_flag():
     size = len(sw.fock_states(2))
     e = np.zeros((size, size), dtype=complex)
     e[fock_index(2)[(1, 1)], fock_index(2)[(2, 0)]] = 1.0  # same total excitation
-    assert OscillatorDensity.from_fock_elements(2, e).commutes_with_s2
+    assert fock_density(2, e).commutes_with_s2
     e2 = np.zeros_like(e)
     e2[fock_index(2)[(2, 0)], fock_index(2)[(0, 0)]] = 1.0  # crosses shells
-    assert not OscillatorDensity.from_fock_elements(2, e2).commutes_with_s2
+    assert not fock_density(2, e2).commutes_with_s2

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 import spinwigner as sw
-from spinwigner.omega_map import OscillatorDensity
 
-from helpers import (basis_vector, dicke_coherent_density, hopf_forward_arrays,
+from helpers import (basis_vector, dicke_coherent_density, fock_density, hopf_forward_arrays,
                      hopf_section_arrays, nonreducible_two_spin_operator, omega, push_pure,
                      reference_reduced_wigner_many, singlet_vector, skewed_two_spin_operator,
                      state_families, wigner_4d_many)
@@ -134,7 +133,7 @@ def test_nonreducible_operator_averages_to_zero():
     # written on the Fock rows directly, the coherence averages to exactly zero
     e = np.zeros((6, 6), dtype=complex)
     e[3, 0] = 1.0  # |(2, 0)><(0, 0)|
-    exact = OscillatorDensity.from_fock_elements(2, e)
+    exact = fock_density(2, e)
     assert not sw.fiber_average(exact).elements.any()
     assert not sw.reduced_wigner_many(exact, *x).any()
 
@@ -327,7 +326,7 @@ def test_fiber_invariance_violated_by_nonreducible():
 
 def test_fiber_invariance_zero_density():
     size = len(sw.fock_states(2))
-    d = OscillatorDensity.from_fock_elements(2, np.zeros((size, size)))
+    d = fock_density(2, np.zeros((size, size)))
     assert sw.check_fiber_invariance(d, 50) == 0.0
 
 

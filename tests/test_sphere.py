@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ import spinwigner as sw
 import spinwigner.sphere as sphere_mod
 from spinwigner.sphere import LmDensity
 
-from helpers import (basis_vector, dense_spin, dicke_coherent_density, fock_index, omega, push_pure,
-                     singlet_vector)
+from helpers import (basis_vector, dense_spin, dicke_coherent_density, fock_density, fock_index,
+                     omega, push_pure, singlet_vector)
 
 
 def test_ws_singlet_is_uniform():
@@ -45,7 +46,7 @@ def test_ws_plus_state_peaks_on_equator():
 
 def test_ws_zero_density():
     size = len(sw.fock_states(2))
-    d = sw.OscillatorDensity.from_fock_elements(2, np.zeros((size, size)))
+    d = fock_density(2, np.zeros((size, size)))
     assert float(sw.ws_numeric_many(d, 1.0, 1.0)) == 0.0
 
 
@@ -128,7 +129,7 @@ def test_ws_analytic_matches_numeric_three_spins_all_shells():
                 e = np.zeros((size, size), dtype=complex)
                 e[idx[(a, total - a)], idx[(b, total - b)]] = 1.0
                 e = e + e.conj().T  # Hermitian combination
-                d = sw.OscillatorDensity.from_fock_elements(n, e)
+                d = fock_density(n, e)
                 lm = LmDensity.from_density(d)
                 for th, ph in zip(thetas, phis):
                     assert float(sw.ws_analytic(lm, th, ph)) == pytest.approx(
@@ -172,7 +173,7 @@ def _relabel_per_element(density):
     lambda: push_pure(5, sw.spin_coherent(5, 1.1, 0.4).amplitudes),
     lambda: push_pure(6, sw.squeezed_state(6, 0.2 + 0.1j, sw.spin_coherent(6, 0.8, 2.0)).amplitudes),
     lambda: sw.push_operator(omega(3), np.random.default_rng(5).normal(size=(8, 8))),
-    lambda: sw.OscillatorDensity.from_fock_elements(
+    lambda: fock_density(
         4, np.random.default_rng(6).normal(size=(15, 15)) * np.logspace(-16, 0, 15)),
 ], ids=["coherent-5", "squeezed-6", "operator-3", "raw-fock-4"])
 def test_lm_blocks_are_the_cut_diagonal_fock_blocks(make):
@@ -206,7 +207,7 @@ def test_lm_cross_shell_entries_by_hand():
     e = np.zeros((6, 6), dtype=complex)
     e[0, 4], e[4, 0], e[3, 5] = 0.5j, -0.5j, 1e-15
     e[3, 3] = e[5, 5] = 1.0
-    lm = LmDensity.from_density(sw.OscillatorDensity.from_fock_elements(2, e))
+    lm = LmDensity.from_density(fock_density(2, e))
     assert lm.cross_shell == ((0, 0, 2, 0, 0.5j), (2, 0, 0, 0, -0.5j))
     assert list(lm.same_shell) == [2]
     assert np.array_equal(lm.same_shell[2], np.diag([1.0, 0.0, 1.0]))
@@ -284,7 +285,7 @@ def _random_block_diagonal(n, rng):
         a = rng.normal(size=(total + 1, total + 1)) + 1j * rng.normal(size=(total + 1, total + 1))
         e[start:start + total + 1, start:start + total + 1] = a @ a.conj().T
         start += total + 1
-    return sw.OscillatorDensity.from_fock_elements(n, e / np.trace(e).real)
+    return fock_density(n, e / np.trace(e).real)
 
 
 def _angular_rule(d, n_theta, n_phi):
@@ -325,9 +326,9 @@ def test_normalization_reads_only_the_fock_diagonal(n, elements):
     e = elements(n)
     diagonal = np.diag(np.diag(e))
     noise = _random_hermitian(n, 40 + n)
-    exact = sw.sphere_normalization(sw.OscillatorDensity.from_fock_elements(n, e))
+    exact = sw.sphere_normalization(fock_density(n, e))
     for off in (3.0 * (e - diagonal), noise - np.diag(np.diag(noise))):
-        d = sw.OscillatorDensity.from_fock_elements(n, diagonal + off)
+        d = fock_density(n, diagonal + off)
         assert sw.sphere_normalization(d) == exact
 
 
@@ -443,7 +444,7 @@ def _block_density(n, total, block):
     rows = [idx[(k, total - k)] for k in range(total + 1)]
     e = np.zeros((len(idx), len(idx)), dtype=complex)
     e[np.ix_(rows, rows)] = block
-    return sw.OscillatorDensity.from_fock_elements(n, e)
+    return fock_density(n, e)
 
 
 def test_ws_analytic_at_forty_spins():
@@ -504,3 +505,24 @@ def test_rotation_about_z_shifts_azimuth():
     rotated = sw.ws_numeric_many(d1, t.ravel(), p.ravel())
     shifted = sw.ws_numeric_many(d0, t.ravel(), (p + chi).ravel())
     assert np.max(np.abs(rotated - shifted)) <= 1e-8
+
+
+def test_numeric_route_memory_is_bounded_by_the_angle_block():
+    # the radial nodes multiply the angles: one reduced evaluation over all
+    # 200,000 angles would peak at about 30 MB for this state
+    d = sw.fiber_average(push_pure(5, sw.spin_coherent(5, 1.1, 0.4).amplitudes))
+    rng = np.random.default_rng(9)
+    theta, phi = rng.uniform(0.0, math.pi, 200_000), rng.uniform(0.0, 2.0 * math.pi, 200_000)
+    tracemalloc.start()
+    try:
+        vals = sw.ws_numeric_many(d, theta, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+    # bit for bit the values of one evaluation over every angle at once
+    r, w = sphere_mod._gauss_laguerre((d.n + 3) // 2)
+    st = np.sin(theta)[:, None]
+    whole = sw.reduced_wigner_many(d, r * (st * np.cos(phi)[:, None]),
+                                   r * (st * np.sin(phi)[:, None]), r * np.cos(theta)[:, None])
+    assert np.array_equal(vals, (math.pi / 4.0) * np.sum(whole * (w * r), axis=-1))

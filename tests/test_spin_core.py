@@ -101,11 +101,13 @@ def test_public_names_resolve_once():
                "reduced_wigner", "ws_numeric", "hopf_forward", "hopf_section", "SphPoint",
                "SpinOperator", "build_collective_spin", "total_spin_squared", "ladder",
                "jordan_schwinger", "jordan_schwinger_squared", "shell_multiplicity",
-               "hopf_forward_arrays", "hopf_section_arrays", "wigner_4d_many")
+               "hopf_forward_arrays", "hopf_section_arrays", "wigner_4d_many", "laguerre",
+               "moyal_1d")
     for name in removed:
         assert name not in sw.__all__ and not hasattr(sw, name), name
     for name in ("gram", "represented_rank"):
         assert not hasattr(sw.OmegaMap, name), name
+    assert not hasattr(sw.OscillatorDensity, "from_fock_elements")
 
 
 def _shells(n):

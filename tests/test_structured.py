@@ -86,7 +86,7 @@ def test_constructors_copy_the_callers_arrays():
     weights, columns = np.array([0.25, 0.75]), np.eye(2, dtype=complex)
     mix = sw.SpinMixture(1, weights, columns)
     for held, given in [(sw.OmegaMap(1, {1: tower}).towers[1], tower),
-                        (sw.OscillatorDensity.from_fock_elements(1, elements).elements, elements),
+                        (sw.OscillatorDensity(1, elements, 3.0, 0.0).elements, elements),
                         (sw.SpinState(1, amps).amplitudes, amps),
                         (mix.weights, weights), (mix.amplitudes, columns)]:
         kept = held.copy()
